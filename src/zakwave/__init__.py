@@ -9,7 +9,6 @@ from .wavefamily import (
     SolitaryWave,
     WaveParams,
     build_wave,
-    eval_profiles,
     family_sweep,
     mass_derivative,
     mass_integral,
@@ -40,16 +39,15 @@ from .dynamics import (
     GridSpec,
     ZakInvariants,
     band_limited_perturbation,
+    default_dt,
     evolve,
     functional_B,
     invariants,
     orbital_distance,
     q1_paper_form,
-    rhs,
     solitary_experiment,
     stability_experiment,
     stationarity_check,
-    step_rk4,
     wave_state,
 )
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
 from .dynamics import (
     GridSpec,
+    default_dt,
     evolve,
     solitary_experiment,
     stability_experiment,
@@ -267,7 +267,7 @@ def _write_record(rec, args) -> None:
 def cmd_evolve(args) -> int:
     w = _load_wave_args(args)
     grid = GridSpec(L=w.params.L, N=args.N)
-    dt = args.dt if args.dt is not None else 1e-4 * (w.params.L / (2 * math.pi)) ** 2
+    dt = args.dt if args.dt is not None else default_dt(w.params.L)
     state0 = wave_state(w, grid)
     rec = evolve(state0, w, grid, dt, args.t_end,
                  integrating_factor=args.integrating_factor)
@@ -355,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--operator", choices=("L3", "L4", "lame"), default="L3")
     sp.add_argument("--modes", type=int, default=8)
     sp.add_argument("--N", type=int, default=512)
-    sp.add_argument("--boundary", choices=("periodic", "semiperiodic"),
-                    default="periodic")
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 

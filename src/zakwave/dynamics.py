@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .wavefamily import DnoidalWave, SolitaryWave, solitary_wave
+from .wavefamily import DnoidalWave, solitary_wave
 
 __all__ = [
     "GridSpec",
@@ -27,14 +27,12 @@ __all__ = [
     "ExperimentRecord",
     "Evolver",
     "wave_state",
-    "rhs",
-    "step_rk4",
+    "default_dt",
     "invariants",
     "q1_paper_form",
     "functional_B",
     "orbital_distance",
     "stationarity_check",
-    "compatibility_integrals",
     "shift_distance",
     "band_limited_perturbation",
     "evolve",
@@ -105,6 +103,11 @@ def _wave_scalars(wave):
     return wave.c, wave.omega, wave.nu
 
 
+def _wrapped(grid: GridSpec, shift: float = 0.0) -> np.ndarray:
+    """Comoving coordinate x - shift wrapped to [-L/2, L/2)."""
+    return np.mod(grid.xs - shift + 0.5 * grid.L, grid.L) - 0.5 * grid.L
+
+
 def wave_state(wave, grid: GridSpec, t: float = 0.0) -> FieldState:
     """Exact traveling-wave state sampled on the grid at time t."""
     c, omega, _ = _wave_scalars(wave)
@@ -112,19 +115,28 @@ def wave_state(wave, grid: GridSpec, t: float = 0.0) -> FieldState:
     # the carrier uses the same wrapped coordinate so that its (generally
     # non-periodic) phase jump falls where the envelope tails vanish, not at
     # the wrap point across the profile peak
-    xi = np.mod(grid.xs - c * t + 0.5 * grid.L, grid.L) - 0.5 * grid.L
+    xi = _wrapped(grid, c * t)
     u = np.exp(-1j * omega * t) * np.exp(0.5j * c * xi) * wave.phi(xi)
     return FieldState(t=t, v=wave.psi(xi), V=wave.varphi(xi), u=u.astype(complex))
+
+
+def default_dt(L: float) -> float:
+    """Default time step 1e-4 (L / 2 pi)^2 for a box of length L."""
+    return 1e-4 * (L / (2.0 * math.pi)) ** 2
 
 
 # --------------------------------------------------------------------------
 # right-hand side and time stepping
 
 class Evolver:
-    """Holds the grid-derived spectral machinery for one evolution run."""
+    """Holds the grid-derived spectral machinery for one evolution run.
 
-    def __init__(self, grid: GridSpec, dt: float, integrating_factor: bool = False,
-                 dealias: bool = True):
+    The spectral state is one complex (3, N) array stacking (vhat, Vhat,
+    uhat).  Plain RK4 keeps the linear -i k^2 uhat term in the right-hand
+    side; the integrating-factor variant transports it exactly instead.
+    """
+
+    def __init__(self, grid: GridSpec, dt: float, integrating_factor: bool = False):
         if dt <= 0.0:
             raise DomainError("dt must be positive")
         self.grid = grid
@@ -133,21 +145,22 @@ class Evolver:
         self.k = grid.k
         self.ik = 1j * self.k
         self.k2 = self.k**2
-        self.mask = grid.dealias_mask if dealias else np.ones(grid.N, dtype=bool)
+        self.mask = grid.dealias_mask
+        # Lawson factors for (v, V, u); unit factors reduce the scheme to RK4
+        self.E_half = self.E_full = 1.0
         if integrating_factor:
-            self.E_half = np.exp(-0.5j * self.k2 * dt)
+            ones = np.ones(grid.N)
+            self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))
             self.E_full = self.E_half**2
 
-    # spectral state is the tuple (vhat, Vhat, uhat)
-    def to_spectral(self, s: FieldState):
-        return np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)
+    def to_spectral(self, s: FieldState) -> np.ndarray:
+        return np.stack((np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)))
 
-    def to_physical(self, spec, t: float) -> FieldState:
-        vhat, Vhat, uhat = spec
-        return FieldState(t=t, v=np.fft.ifft(vhat).real, V=np.fft.ifft(Vhat).real,
-                          u=np.fft.ifft(uhat))
+    def to_physical(self, spec: np.ndarray, t: float) -> FieldState:
+        return FieldState(t=t, v=np.fft.ifft(spec[0]).real, V=np.fft.ifft(spec[1]).real,
+                          u=np.fft.ifft(spec[2]))
 
-    def rhs_spectral(self, spec, include_linear_u: bool = True):
+    def rhs_spectral(self, spec: np.ndarray) -> np.ndarray:
         vhat, Vhat, uhat = spec
         v = np.fft.ifft(vhat).real
         u = np.fft.ifft(uhat)
@@ -155,61 +168,23 @@ class Evolver:
         u2hat *= self.mask
         uvhat = np.fft.fft(u * v)
         uvhat *= self.mask
-        dv = -self.ik * Vhat
-        dV = -self.ik * (vhat + u2hat)
-        du = -1j * uvhat
-        if include_linear_u:
-            du = du - 1j * self.k2 * uhat
-        return dv, dV, du
-
-    def step(self, spec):
-        """One RK4 (or integrating-factor RK4) step on the spectral state."""
-        dt = self.dt
+        d = np.empty_like(spec)
+        d[0] = -self.ik * Vhat
+        d[1] = -self.ik * (vhat + u2hat)
+        d[2] = -1j * uvhat
         if not self.integrating_factor:
-            f = self.rhs_spectral
-            k1 = f(spec)
-            k2 = f(tuple(y + 0.5 * dt * d for y, d in zip(spec, k1)))
-            k3 = f(tuple(y + 0.5 * dt * d for y, d in zip(spec, k2)))
-            k4 = f(tuple(y + dt * d for y, d in zip(spec, k3)))
-            return tuple(
-                y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                for y, a, b, c, d in zip(spec, k1, k2, k3, k4)
-            )
-        # Lawson integrating-factor RK4: exact transport of the i u_xx term
-        eh = (1.0, 1.0, self.E_half)
-        ef = (1.0, 1.0, self.E_full)
-        f = lambda s: self.rhs_spectral(s, include_linear_u=False)
+            d[2] = d[2] - 1j * self.k2 * uhat
+        return d
+
+    def step(self, spec: np.ndarray) -> np.ndarray:
+        """One Lawson integrating-factor RK4 step on the spectral state;
+        with unit factors it is the classical RK4 step."""
+        dt, eh, ef, f = self.dt, self.E_half, self.E_full, self.rhs_spectral
         k1 = f(spec)
-        s2 = tuple(e * (y + 0.5 * dt * d) for e, y, d in zip(eh, spec, k1))
-        k2 = f(s2)
-        s3 = tuple(e * y + 0.5 * dt * d for e, y, d in zip(eh, spec, k2))
-        k3 = f(s3)
-        s4 = tuple(e * y + dt * eh_i * d for e, eh_i, y, d in zip(ef, eh, spec, k3))
-        k4 = f(s4)
-        return tuple(
-            e * y + dt / 6.0 * (e * a + 2.0 * eh_i * (b + c) + d)
-            for e, eh_i, y, a, b, c, d in zip(ef, eh, spec, k1, k2, k3, k4)
-        )
-
-
-def rhs(s: FieldState, grid: GridSpec, dealias: bool = True) -> FieldState:
-    """Time derivative of the state (physical-space view of the spectral rhs)."""
-    ev = Evolver(grid, dt=1.0, dealias=dealias)
-    spec = ev.to_spectral(s)
-    dv, dV, du = ev.rhs_spectral(spec)
-    return FieldState(t=s.t, v=np.fft.ifft(dv).real, V=np.fft.ifft(dV).real,
-                      u=np.fft.ifft(du))
-
-
-def step_rk4(s: FieldState, dt: float, grid: GridSpec,
-             integrating_factor: bool = False) -> FieldState:
-    """Single classical fourth-order step; raises BlowUpError on NaN/overflow."""
-    ev = Evolver(grid, dt, integrating_factor=integrating_factor)
-    out = ev.to_physical(ev.step(ev.to_spectral(s)), s.t + dt)
-    if not (np.all(np.isfinite(out.v)) and np.all(np.isfinite(out.V))
-            and np.all(np.isfinite(out.u))):
-        raise BlowUpError(out.t)
-    return out
+        k2 = f(eh * (spec + 0.5 * dt * k1))
+        k3 = f(eh * spec + 0.5 * dt * k2)
+        k4 = f(ef * spec + dt * eh * k3)
+        return ef * spec + dt / 6.0 * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
 
 
 # --------------------------------------------------------------------------
@@ -244,24 +219,33 @@ def functional_B(s: FieldState, wave, grid: GridSpec) -> float:
 # --------------------------------------------------------------------------
 # modulated distance
 
-def _gauge(u: np.ndarray, c: float, t: float, grid: GridSpec) -> np.ndarray:
-    # wrap the comoving coordinate so the gauge's phase seam tracks the
-    # antipode of x = c t instead of cutting through the profile; for
-    # carrier-periodic waves (c L multiple of 4 pi) this changes nothing
-    zeta = np.mod(grid.xs - c * t + 0.5 * grid.L, grid.L) - 0.5 * grid.L
-    return np.exp(-0.5j * c * zeta) * u
-
-
 def _shift_field(fhat: np.ndarray, y: float, grid: GridSpec) -> np.ndarray:
     """Samples of f(x + y) from the spectrum of f."""
     return np.fft.ifft(fhat * np.exp(1j * grid.k * y))
 
 
-def _profile_samples(wave, grid: GridSpec):
-    """(phi, phi') on the grid, with the coordinate wrapped to [-L/2, L/2)
-    so non-periodic solitary tails are centered rather than truncated."""
-    xi = np.mod(grid.xs + 0.5 * grid.L, grid.L) - 0.5 * grid.L
-    return wave.phi(xi), wave.phi_prime(xi)
+def _peak(f: np.ndarray):
+    """Index m of the largest sample of periodic f and the sub-grid offset
+    of the parabola through f[m-1], f[m], f[m+1], clipped to [-1/2, 1/2]."""
+    m = int(np.argmax(f))
+    fm1, f0, fp1 = f[m - 1], f[m], f[(m + 1) % f.size]
+    denom = fm1 - 2.0 * f0 + fp1
+    delta = 0.5 * (fm1 - fp1) / denom if denom != 0.0 else 0.0
+    return m, float(np.clip(delta, -0.5, 0.5))
+
+
+def _gauged_spectra(u: np.ndarray, wave, grid: GridSpec, t: float):
+    """Spectra of the gauged field w and of w', w'', plus the profile samples
+    (phi, phi') on the coordinate wrapped to [-L/2, L/2), so non-periodic
+    solitary tails are centered rather than truncated."""
+    c, _, _ = _wave_scalars(wave)
+    # the gauge's phase seam tracks the antipode of x = c t instead of
+    # cutting through the profile; for carrier-periodic waves (c L multiple
+    # of 4 pi) the wrap changes nothing
+    what = np.fft.fft(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u)
+    dwhat = 1j * grid.k * what
+    xi = _wrapped(grid)
+    return what, dwhat, 1j * grid.k * dwhat, wave.phi(xi), wave.phi_prime(xi)
 
 
 def _omega_inner(what, dwhat, phi, dphi, nu, y, grid):
@@ -279,11 +263,7 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
     theta*(y) = -arg G(y), and refines the best shift to sub-grid accuracy
     by parabolic interpolation.  Returns (rho, y_star, theta_star).
     """
-    c, _, _ = _wave_scalars(wave)
-    w = _gauge(u, c, t, grid)
-    phi, dphi = _profile_samples(wave, grid)
-    what = np.fft.fft(w)
-    dwhat = 1j * grid.k * what
+    what, dwhat, ddwhat, phi, dphi = _gauged_spectra(u, wave, grid, t)
 
     # G at all grid shifts via cross-correlation in Fourier space
     phihat = np.fft.fft(phi)
@@ -291,16 +271,10 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
     corr = np.fft.ifft(what * np.conj(phihat))
     corr_d = np.fft.ifft(dwhat * np.conj(dphihat))
     G_grid = (grid.L / grid.N) * (corr_d + nu * corr)
-    mag = np.abs(G_grid)
-    m = int(np.argmax(mag))
 
     # parabolic seed for the sub-grid shift, then Newton on |G|^2
-    fm1, f0, fp1 = mag[m - 1], mag[m], mag[(m + 1) % grid.N]
-    denom = fm1 - 2.0 * f0 + fp1
-    delta = 0.5 * (fm1 - fp1) / denom if denom != 0.0 else 0.0
-    delta = float(np.clip(delta, -0.5, 0.5))
+    m, delta = _peak(np.abs(G_grid))
     dx = grid.L / grid.N
-    ddwhat = 1j * grid.k * dwhat
     y_ref = (m + delta) * dx
     for _ in range(8):
         G = _omega_inner(what, dwhat, phi, dphi, nu, y_ref, grid)
@@ -338,12 +312,7 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
 def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
                        theta_star: float, grid: GridSpec, t: float = 0.0):
     """Gradient of Omega with respect to (y, theta) at the reported minimizer."""
-    c, _, _ = _wave_scalars(wave)
-    w = _gauge(u, c, t, grid)
-    phi, dphi = _profile_samples(wave, grid)
-    what = np.fft.fft(w)
-    dwhat = 1j * grid.k * what
-    ddwhat = 1j * grid.k * dwhat
+    what, dwhat, ddwhat, phi, dphi = _gauged_spectra(u, wave, grid, t)
     G = _omega_inner(what, dwhat, phi, dphi, nu, y_star, grid)
     Gprime = _omega_inner(dwhat, ddwhat, phi, dphi, nu, y_star, grid)
     phase = np.exp(1j * theta_star)
@@ -352,30 +321,10 @@ def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
     return float(d_y), float(d_theta)
 
 
-def compatibility_integrals(u: np.ndarray, wave, y_star: float, theta_star: float,
-                            grid: GridSpec, t: float = 0.0):
-    """Diagnostic projections of the modulated perturbation on phi*psi and
-    (phi*psi)': int q phi psi dx and int p (phi psi)' dx with
-    xi = e^{i theta*} w(. + y*) - phi, p = Re xi, q = Im xi."""
-    c, _, _ = _wave_scalars(wave)
-    w = _gauge(u, c, t, grid)
-    wy = _shift_field(np.fft.fft(w), y_star, grid)
-    xs_wrapped = np.mod(grid.xs + 0.5 * grid.L, grid.L) - 0.5 * grid.L
-    xi = np.exp(1j * theta_star) * wy - wave.phi(xs_wrapped)
-    prod = wave.phi(xs_wrapped) * wave.psi(xs_wrapped)
-    dprod = np.fft.ifft(1j * grid.k * np.fft.fft(prod)).real
-    return (float(grid.integrate(xi.imag * prod)),
-            float(grid.integrate(xi.real * dprod)))
-
-
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples."""
     fhat, ghat = np.fft.fft(f), np.fft.fft(g)
-    corr = np.fft.ifft(fhat * np.conj(ghat)).real * grid.L / grid.N
-    m = int(np.argmax(corr))
-    fm1, f0, fp1 = corr[m - 1], corr[m], corr[(m + 1) % grid.N]
-    denom = fm1 - 2.0 * f0 + fp1
-    delta = float(np.clip(0.5 * (fm1 - fp1) / denom, -0.5, 0.5)) if denom != 0.0 else 0.0
+    m, delta = _peak(np.fft.ifft(fhat * np.conj(ghat)).real * grid.L / grid.N)
     dx = grid.L / grid.N
     norms = grid.integrate(f**2) + grid.integrate(g**2)
     best = None
@@ -410,51 +359,34 @@ class ExperimentRecord:
     theta_star: np.ndarray
     dist_v: np.ndarray
     dist_V: np.ndarray
-    dist_v_at_ystar: np.ndarray = field(default=None)
-    dist_V_at_ystar: np.ndarray = field(default=None)
-    q1_uv_real: np.ndarray = field(default=None)
-    q1_uv_imag: np.ndarray = field(default=None)
-
-    _CSV_FIELDS = ("t", "E", "Q1", "Q2", "B", "rho_nu", "y_star", "theta_star",
-                   "dist_v", "dist_V")
+    dist_v_at_ystar: np.ndarray
+    dist_V_at_ystar: np.ndarray
+    q1_uv_real: np.ndarray
+    q1_uv_imag: np.ndarray
 
     def delta_B(self) -> np.ndarray:
         return self.B - self.metadata["B_wave"]
 
     def to_csv(self, path) -> None:
-        cols = (self.times, self.E, self.Q1, self.Q2, self.B, self.rho_nu,
-                self.y_star, self.theta_star, self.dist_v, self.dist_V)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self._CSV_FIELDS)
-            for row in zip(*cols):
+            writer.writerow(("t",) + _CSV_SERIES[1:])
+            for row in zip(*(getattr(self, name) for name in _CSV_SERIES)):
                 writer.writerow([f"{val:.17g}" for val in row])
 
     def to_json(self, path) -> None:
         payload = {"metadata": self.metadata}
-        for name in ("times", "E", "Q1", "Q2", "B", "rho_nu", "y_star",
-                     "theta_star", "dist_v", "dist_V", "dist_v_at_ystar",
-                     "dist_V_at_ystar", "q1_uv_real", "q1_uv_imag"):
-            arr = getattr(self, name)
-            payload[name] = None if arr is None else [float(x) for x in arr]
+        for name in _SERIES:
+            payload[name] = [float(x) for x in getattr(self, name)]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
 
 
-def dump_fields(s: FieldState, grid: GridSpec, prefix: str) -> None:
-    """Binary little-endian float64 snapshot (v, V, Re u, Im u) + JSON sidecar."""
-    stacked = np.stack([s.v, s.V, s.u.real, s.u.imag]).astype("<f8")
-    with open(f"{prefix}.bin", "wb") as fh:
-        fh.write(stacked.tobytes())
-    sidecar = {
-        "t": s.t, "L": grid.L, "N": grid.N, "dtype": "<f8",
-        "layout": ["v", "V", "u_real", "u_imag"], "shape": [4, grid.N],
-        "order": "C",
-    }
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
+# Recorded time series in field order; the CSV holds the first ten, with
+# "times" written as "t".
+_SERIES = tuple(f.name for f in fields(ExperimentRecord))[1:]
+_CSV_SERIES = _SERIES[:10]
 
 
 def band_limited_perturbation(rng: np.random.Generator, grid: GridSpec, n_max: int,
@@ -488,7 +420,7 @@ def _h1nu(f, grid, nu) -> float:
 
 def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
            save_every: int | None = None, integrating_factor: bool = False,
-           track_q1_paper: bool = True, metadata: dict | None = None) -> ExperimentRecord:
+           metadata: dict | None = None) -> ExperimentRecord:
     """Run the system from state0 and record diagnostics against `wave`."""
     c, omega, nu = _wave_scalars(wave)
     n_steps = int(round(t_end / dt))
@@ -503,51 +435,34 @@ def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
     b_wave = functional_B(ref, wave, grid)
     psi_ref, vphi_ref = ref.v, ref.V
 
-    series: dict[str, list] = {name: [] for name in (
-        "times", "E", "Q1", "Q2", "B", "rho_nu", "y_star", "theta_star",
-        "dist_v", "dist_V", "dist_v_at_ystar", "dist_V_at_ystar",
-        "q1_uv_real", "q1_uv_imag")}
+    series: dict[str, list] = {name: [] for name in _SERIES}
 
-    def record(spec_state, t):
-        s = ev.to_physical(spec_state, t)
+    def record(s):
         inv = invariants(s, grid)
-        rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=t)
+        rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t)
         dv, _ = shift_distance(s.v, psi_ref, grid)
         dV, _ = shift_distance(s.V, vphi_ref, grid)
-        series["times"].append(t)
-        series["E"].append(inv.E)
-        series["Q1"].append(inv.Q1)
-        series["Q2"].append(inv.Q2)
-        series["B"].append(inv.E - c * inv.Q1 - omega * inv.Q2)
-        series["rho_nu"].append(rho)
-        series["y_star"].append(ys)
-        series["theta_star"].append(th)
-        series["dist_v"].append(dv)
-        series["dist_V"].append(dV)
-        series["dist_v_at_ystar"].append(distance_at_shift(s.v, psi_ref, ys, grid))
-        series["dist_V_at_ystar"].append(distance_at_shift(s.V, vphi_ref, ys, grid))
-        if track_q1_paper:
-            q1p = q1_paper_form(s, grid)
-            series["q1_uv_real"].append(q1p.real)
-            series["q1_uv_imag"].append(q1p.imag)
-        else:
-            series["q1_uv_real"].append(math.nan)
-            series["q1_uv_imag"].append(math.nan)
+        q1p = q1_paper_form(s, grid)
+        row = (s.t, inv.E, inv.Q1, inv.Q2, inv.E - c * inv.Q1 - omega * inv.Q2,
+               rho, ys, th, dv, dV,
+               distance_at_shift(s.v, psi_ref, ys, grid),
+               distance_at_shift(s.V, vphi_ref, ys, grid),
+               q1p.real, q1p.imag)
+        for name, val in zip(_SERIES, row):
+            series[name].append(val)
 
-    record(spec, state0.t)
-    t = state0.t
+    record(ev.to_physical(spec, state0.t))
     for step in range(1, n_steps + 1):
         spec = ev.step(spec)
         t = state0.t + step * dt
         if step % 50 == 0 and not np.all(np.isfinite(spec[2])):
             raise BlowUpError(t)
         if step % save_every == 0 or step == n_steps:
-            s_check = ev.to_physical(spec, t)
-            sup = max(np.max(np.abs(s_check.v)), np.max(np.abs(s_check.V)),
-                      np.max(np.abs(s_check.u)))
+            s = ev.to_physical(spec, t)
+            sup = max(np.max(np.abs(s.v)), np.max(np.abs(s.V)), np.max(np.abs(s.u)))
             if not np.isfinite(sup) or sup > 1e6 * sup0:
                 raise BlowUpError(t)
-            record(spec, t)
+            record(s)
 
     meta = dict(metadata or {})
     meta.update({
@@ -601,7 +516,7 @@ def stability_experiment(w: DnoidalWave, delta: float, t_end: float,
     """Seeded perturbed evolution around a dnoidal wave."""
     grid = GridSpec(L=w.params.L, N=N)
     if dt is None:
-        dt = 1e-4 * (w.params.L / (2.0 * math.pi)) ** 2
+        dt = default_dt(w.params.L)
     state0 = _perturbed_initial_state(w, grid, delta, seed,
                                       respect_mean_condition, renormalize_q2)
     meta = {"kind": "dnoidal", "delta": delta, "seed": seed,
@@ -623,7 +538,7 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
     L = box_factor / math.sqrt(-4.0 * omega - c * c)
     grid = GridSpec(L=L, N=N)
     if dt is None:
-        dt = 1e-4 * (L / (2.0 * math.pi)) ** 2
+        dt = default_dt(L)
     state0 = _perturbed_initial_state(sw, grid, delta, seed,
                                       respect_mean_condition=False,
                                       renormalize_q2=False)

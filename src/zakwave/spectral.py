@@ -107,14 +107,12 @@ class HillSpectrum:
             for i, lam in enumerate(self.eigenvalues):
                 writer.writerow([i, f"{lam:.17g}"])
 
-    def to_json(self, path, include_vectors: bool = False) -> None:
+    def to_json(self, path) -> None:
         payload = {
             "boundary": self.boundary,
             "N": self.N,
             "eigenvalues": [float(v) for v in self.eigenvalues],
         }
-        if include_vectors:
-            payload["eigenvectors"] = self.eigenvectors.tolist()
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")

@@ -27,7 +27,6 @@ __all__ = [
     "period_of",
     "solve_eta2",
     "build_wave",
-    "eval_profiles",
     "ode_residuals",
     "mass_integral",
     "mass_derivative",
@@ -222,11 +221,6 @@ def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
         eta1=eta1, eta2=eta2, k=m.k, d0=d0, Aphi=aphi,
     )
     return DnoidalWave(params=params, modulus=m, EK_ratio=ek)
-
-
-def eval_profiles(w: DnoidalWave, xs):
-    """Sample (phi, psi, varphi) on the grid xs."""
-    return w.phi(xs), w.psi(xs), w.varphi(xs)
 
 
 def ode_residuals(w: DnoidalWave, N: int = 1024):

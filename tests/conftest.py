@@ -48,7 +48,7 @@ def exact_run(wave_std, grid_std):
     momentum tracked alongside the conserved form."""
     state0 = wave_state(wave_std, grid_std)
     return evolve(state0, wave_std, grid_std, dt=1e-4, t_end=5.0,
-                  save_every=250, track_q1_paper=True)
+                  save_every=250)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zakwave.dynamics import (
+    Evolver,
     FieldState,
     GridSpec,
     band_limited_perturbation,
@@ -14,17 +17,15 @@ from zakwave.dynamics import (
     invariants,
     orbital_distance,
     q1_paper_form,
-    rhs,
     solitary_experiment,
     stability_experiment,
     stationarity_check,
-    step_rk4,
     wave_state,
 )
 from zakwave.errors import BlowUpError, DomainError
 from zakwave.wavefamily import mass_integral
 
-from conftest import relative_drift
+from conftest import STD_L, relative_drift
 
 
 def _zero_state(grid):
@@ -32,12 +33,27 @@ def _zero_state(grid):
                       u=np.zeros(grid.N, dtype=complex))
 
 
+def _rhs(s, grid):
+    """Physical-space view of the spectral right-hand side at s."""
+    ev = Evolver(grid, dt=1.0)
+    return ev.to_physical(ev.rhs_spectral(ev.to_spectral(s)), s.t)
+
+
+def _advance(s, dt, grid, n, integrating_factor=False):
+    """State after n steps of size dt from s."""
+    ev = Evolver(grid, dt, integrating_factor=integrating_factor)
+    spec = ev.to_spectral(s)
+    for _ in range(n):
+        spec = ev.step(spec)
+    return ev.to_physical(spec, s.t + n * dt)
+
+
 # --------------------------------------------------------------------------
 # right-hand side
 
 def test_rhs_zero_state_is_zero():
     grid = GridSpec(L=2.0 * math.pi, N=64)
-    d = rhs(_zero_state(grid), grid)
+    d = _rhs(_zero_state(grid), grid)
     assert np.max(np.abs(d.v)) == 0.0
     assert np.max(np.abs(d.V)) == 0.0
     assert np.max(np.abs(d.u)) == 0.0
@@ -52,8 +68,7 @@ def test_linear_mode_returns_after_one_period():
                    u=np.zeros(grid.N, dtype=complex))
     n = 62832  # ~1e-4 steps, landing exactly on the oscillation period
     dt = 2.0 * math.pi / (kap * n)
-    for _ in range(n):
-        s = step_rk4(s, dt, grid)
+    s = _advance(s, dt, grid, n)
     assert np.max(np.abs(s.v - np.cos(kap * grid.xs))) <= 1e-10
     assert np.max(np.abs(s.V)) <= 1e-10
 
@@ -62,7 +77,7 @@ def test_rhs_matches_analytic_transport(wave_std, grid_std):
     w, grid = wave_std, grid_std
     p = w.params
     s = wave_state(w, grid)
-    d = rhs(s, grid)
+    d = _rhs(s, grid)
     xi = np.mod(grid.xs + 0.5 * grid.L, grid.L) - 0.5 * grid.L
     # v, V transport: time derivative is -c times the space derivative
     k = grid.k
@@ -91,10 +106,7 @@ def test_rk4_fourth_order_convergence(wave_std, grid_std):
     )
 
     def run(dt, T=0.2):
-        s = s0.copy()
-        for _ in range(int(round(T / dt))):
-            s = step_rk4(s, dt, grid_std)
-        return s
+        return _advance(s0, dt, grid_std, int(round(T / dt)))
 
     ref = run(1.25e-4)
     e1 = np.max(np.abs(run(2e-3).u - ref.u))
@@ -102,12 +114,31 @@ def test_rk4_fourth_order_convergence(wave_std, grid_std):
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
 
 
-def test_step_raises_on_nonfinite():
+def test_plain_and_integrating_factor_steps_agree(wave_std, grid_std):
+    # both schemes are fourth order, so on a smooth state their difference
+    # is time-discretization error and shrinks about 16x per halving of dt
+    base = wave_state(wave_std, grid_std)
+    rng = np.random.default_rng(1)
+    u0 = base.u + 1e-2 * band_limited_perturbation(rng, grid_std, 16, complex_field=True)
+    s0 = FieldState(0.0, base.v, base.V, u0)
+
+    def gap(dt, T=0.2):
+        n = int(round(T / dt))
+        plain = _advance(s0, dt, grid_std, n)
+        lawson = _advance(s0, dt, grid_std, n, integrating_factor=True)
+        return np.max(np.abs(plain.u - lawson.u))
+
+    coarse, fine = gap(2e-3), gap(1e-3)
+    assert coarse <= 1e-11
+    assert coarse >= 8.0 * fine
+
+
+def test_step_raises_on_nonfinite(wave_c0):
     grid = GridSpec(L=2.0 * math.pi, N=64)
     s = _zero_state(grid)
     s.v[3] = math.nan
     with pytest.raises(BlowUpError):
-        step_rk4(s, 1e-4, grid)
+        evolve(s, wave_c0, grid, dt=1e-4, t_end=1e-4)
 
 
 def test_grid_rejects_odd_or_tiny_N():
@@ -166,8 +197,7 @@ def test_mean_invariants_preserved(pert_run_small, wave_std, grid_std):
     rng = np.random.default_rng(2)
     s.v = s.v + 1e-2 * band_limited_perturbation(rng, grid_std, 8)
     mean_v0 = float(np.mean(s.v))
-    for _ in range(200):
-        s = step_rk4(s, 1e-3, grid_std)
+    s = _advance(s, 1e-3, grid_std, 200)
     assert abs(float(np.mean(s.v)) - mean_v0) <= 1e-12
     assert abs(float(np.mean(s.V))) <= 1e-12
 
@@ -177,17 +207,14 @@ def test_gauge_and_shift_covariance(wave_std, grid_std):
     theta0 = 0.83
     rot = FieldState(t=0.0, v=s0.v.copy(), V=s0.V.copy(),
                      u=np.exp(1j * theta0) * s0.u)
-    a, b = s0.copy(), rot
-    for _ in range(50):
-        a = step_rk4(a, 1e-3, grid_std)
-        b = step_rk4(b, 1e-3, grid_std)
+    a = _advance(s0, 1e-3, grid_std, 50)
+    b = _advance(rot, 1e-3, grid_std, 50)
     assert np.max(np.abs(b.u - np.exp(1j * theta0) * a.u)) <= 1e-12
     # cyclic shift by a whole number of grid cells commutes with the flow
     shift = 7
     c = FieldState(t=0.0, v=np.roll(s0.v, shift), V=np.roll(s0.V, shift),
                    u=np.roll(s0.u, shift))
-    for _ in range(50):
-        c = step_rk4(c, 1e-3, grid_std)
+    c = _advance(c, 1e-3, grid_std, 50)
     assert np.max(np.abs(c.u - np.roll(a.u, shift))) <= 1e-11
 
 
@@ -202,19 +229,25 @@ def test_orbital_distance_exact_wave(wave_std, grid_std):
     assert min(th, 2.0 * math.pi - th) <= 1e-8
 
 
-def test_orbital_distance_recovers_shift_and_phase(wave_std, grid_std):
+def _circular_gap(a, b, period):
+    d = abs(a - b) % period
+    return min(d, period - d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y0=st.floats(0.0, STD_L, exclude_max=True),
+       th0=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_orbital_distance_recovers_shift_and_phase(wave_std, grid_std, y0, th0):
     p = wave_std.params
     s = wave_state(wave_std, grid_std)
-    y0, th0 = 1.234, 0.7
     uhat = np.fft.fft(s.u)
     shifted = np.fft.ifft(uhat * np.exp(-1j * grid_std.k * y0)) * np.exp(1j * th0)
     rho, y, th = orbital_distance(shifted, wave_std, p.nu, grid_std)
     assert rho <= 1e-8
-    assert y == pytest.approx(y0, abs=1e-8)
+    assert _circular_gap(y, y0, grid_std.L) <= 1e-8
     # the gauge converts the u-phase th0 into e^{i(th - c y / 2)} on w
-    expected_th = (-(th0 - 0.5 * p.c * y0)) % (2.0 * math.pi)
-    assert min(abs(th - expected_th),
-               2.0 * math.pi - abs(th - expected_th)) <= 1e-8
+    expected_th = -(th0 - 0.5 * p.c * y0)
+    assert _circular_gap(th, expected_th, 2.0 * math.pi) <= 1e-8
 
 
 def brute_force_rho(u, wave, nu, grid, n_y=4096, n_theta=512):

@@ -13,7 +13,6 @@ from zakwave.elliptic import Modulus, complete_E, complete_K
 from zakwave.errors import DomainError, NoSolutionError
 from zakwave.wavefamily import (
     build_wave,
-    eval_profiles,
     family_sweep,
     mass_derivative,
     mass_integral,
@@ -162,7 +161,7 @@ def test_spiky_limit_approaches_sech_amplitude():
 def test_eval_profiles_pointwise_relations(wave_std):
     p = wave_std.params
     xs = np.linspace(0.0, p.L, 1024, endpoint=False)
-    phi, psi, varphi = eval_profiles(wave_std, xs)
+    phi, psi = wave_std.phi(xs), wave_std.psi(xs)
     assert np.all(phi > 0.0) and np.all(psi < 0.0)
     assert np.all(phi >= p.eta2 - 1e-12) and np.all(phi <= p.eta1 + 1e-12)
     assert np.max(np.abs(psi + phi**2 / p.alpha)) <= 1e-12
