@@ -203,6 +203,10 @@ def cmd_spectrum(args) -> int:
             return EXIT_VERDICT
         return EXIT_OK
 
+    # the verdicts read lambda_0 .. lambda_2
+    if args.modes < 3:
+        print(f"error: --modes must be at least 3, got {args.modes}", file=sys.stderr)
+        return EXIT_USAGE
     op = hill_L3(w, args.N) if args.operator == "L3" else hill_L4(w, args.N)
     spec = periodic_spectrum(op, args.modes)
     lam = spec.eigenvalues

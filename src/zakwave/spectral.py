@@ -1,11 +1,11 @@
 """Hill-operator spectra for the linearization around dnoidal waves.
 
 The operators -d^2/dx^2 + shift + V(x) with L-periodic potential are
-discretized by a Fourier-Galerkin truncation: the kinetic term is diagonal
-in the trigonometric basis and multiplication by V becomes a circulant
-convolution with the DFT coefficients of the sampled potential.  Periodic
-spectra use the integer-harmonic basis exp(2 pi i n x / L), semi-periodic
-spectra the half-shifted basis exp(i pi (2n+1) x / L).
+discretized on the uniform N-point grid of [0, L) in the Bloch basis
+exp(i kappa_n x), kappa_n = (2 pi n + theta) / L, with Floquet phase
+theta = 0 for periodic and theta = pi for semi-periodic spectra.  On the
+grid the kinetic term is a real symmetric Toeplitz matrix and V is
+diagonal, so the matrix is assembled directly as T + diag(V + shift).
 """
 
 from __future__ import annotations
@@ -46,8 +46,13 @@ class HillOperator:
     potential: np.ndarray
     N: int
 
-    def _mode_integers(self) -> np.ndarray:
-        return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(int)
+    def _wavenumbers(self, boundary: str) -> np.ndarray:
+        """Bloch wavenumbers kappa_n in fft order of the mode integers n."""
+        if boundary not in ("periodic", "semiperiodic"):
+            raise ValueError(f"unknown boundary {boundary!r}")
+        theta = 0.0 if boundary == "periodic" else math.pi
+        n = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return (2.0 * math.pi * n + theta) / self.L
 
     def fourier_matrix(self, boundary: str = "periodic") -> np.ndarray:
         """Hermitian Galerkin matrix in the trigonometric basis.
@@ -55,13 +60,8 @@ class HillOperator:
         Rows/columns follow fft ordering of the mode integers n; the
         potential enters through Vhat[(n - m) mod N].
         """
-        n = self._mode_integers()
-        if boundary == "periodic":
-            kappa = 2.0 * math.pi * n / self.L
-        elif boundary == "semiperiodic":
-            kappa = math.pi * (2 * n + 1) / self.L
-        else:
-            raise ValueError(f"unknown boundary {boundary!r}")
+        kappa = self._wavenumbers(boundary)
+        n = np.arange(self.N)
         vhat = np.fft.fft(self.potential) / self.N
         diff = (n[:, None] - n[None, :]) % self.N
         mat = vhat[diff]
@@ -69,26 +69,20 @@ class HillOperator:
         return mat
 
     def grid_matrix(self, boundary: str = "periodic") -> np.ndarray:
-        """Real-symmetric collocation form B M B^H with B the (unitary) basis map.
+        """Real-symmetric grid matrix B M B^H, with M = fourier_matrix and B
+        the unitary basis map; eigenvectors live on the grid.
 
-        Shares the spectrum of fourier_matrix; eigenvectors live on the grid.
+        Entry (j, l) of B diag(kappa^2) B^H is t(|j - l|), with
+        t(s) = Re(exp(i kappa_0 x_s) ifft(kappa^2)[s]), and B circulant(Vhat) B^H
+        is diag(V).  The ifft keeps t accurate: a direct cosine sum has
+        arguments up to about pi N.
         """
-        mat = self.fourier_matrix(boundary)
-        basis = self._basis(boundary)
-        grid = basis @ mat @ basis.conj().T
-        asym = np.max(np.abs(grid.imag))
-        if asym > 1e-10 * np.max(np.abs(grid.real)):
-            raise AccuracyError(f"grid matrix not real to tolerance ({asym:.2e})")
-        return 0.5 * (grid.real + grid.real.T)
-
-    def _basis(self, boundary: str) -> np.ndarray:
-        n = self._mode_integers()
-        xs = np.arange(self.N) * self.L / self.N
-        if boundary == "periodic":
-            kappa = 2.0 * math.pi * n / self.L
-        else:
-            kappa = math.pi * (2 * n + 1) / self.L
-        return np.exp(1j * np.outer(xs, kappa)) / math.sqrt(self.N)
+        kappa = self._wavenumbers(boundary)
+        s = np.arange(self.N)
+        t = (np.exp(1j * kappa[0] * s * self.L / self.N) * np.fft.ifft(kappa**2)).real
+        mat = t[np.abs(s[:, None] - s[None, :])]
+        mat[np.diag_indices(self.N)] += self.potential + self.shift
+        return mat
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class HillSpectrum:
 
     boundary: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # shape (m, N), orthonormal rows in C^N
+    eigenvectors: np.ndarray  # shape (m, N), orthonormal rows in R^N
     N: int
 
     def to_csv(self, path) -> None:
@@ -149,17 +143,14 @@ def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
     return assemble(2.0 * K, 0.0, 6.0 * m.k**2 * sn**2, N)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    i = np.argmax(np.abs(vec))
-    return -vec if vec[i] < 0.0 else vec
-
-
 def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    if m > op.N:
+    if not 1 <= m <= op.N:
         raise DomainError(f"requested {m} modes from an N={op.N} discretization")
-    mat = op.grid_matrix(boundary)
-    evals, evecs = np.linalg.eigh(mat)
-    vecs = np.array([_fix_sign(evecs[:, i]) for i in range(m)])
+    evals, evecs = np.linalg.eigh(op.grid_matrix(boundary))
+    # sign convention: the largest-magnitude entry of each eigenvector is positive
+    vecs = evecs[:, :m].T
+    peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
+    vecs = np.where((peak < 0.0)[:, None], -vecs, vecs)
     return HillSpectrum(boundary=boundary, eigenvalues=evals[:m], eigenvectors=vecs, N=op.N)
 
 
@@ -242,12 +233,11 @@ def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
     cons = np.atleast_2d(np.asarray(constraints, dtype=float))
     if cons.shape[1] != op.N:
         raise DomainError("constraint vectors must live on the operator grid")
-    q, r = np.linalg.qr(cons.T)
+    q, r = np.linalg.qr(cons.T, mode="complete")
     if np.min(np.abs(np.diag(r))) < 1e-10 * np.max(np.abs(r)):
         raise DomainError("constraint set is (numerically) rank deficient")
     mat = op.grid_matrix("periodic")
     # orthonormal basis of the complement: columns of the full Q beyond the span
-    full_q, _ = np.linalg.qr(q, mode="complete")
-    z = full_q[:, cons.shape[0]:]
+    z = q[:, cons.shape[0]:]
     reduced = z.T @ mat @ z
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])

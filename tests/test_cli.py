@@ -119,6 +119,16 @@ def test_spectrum_verdicts_on_standard_wave(capsys):
         assert "[FAIL]" not in out
 
 
+def test_too_few_spectrum_modes_is_usage_error(capsys):
+    for op, modes in (("L3", "2"), ("L4", "0"), ("L4", "-3")):
+        code, _, err = run(capsys, "spectrum", "--operator", op,
+                           "--L", "25.132741228718345", "--c", "0.5",
+                           "--nu", "0.2", "--modes", modes)
+        assert code == 1, (op, modes)
+        assert "--modes" in err
+        assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # determinism and config precedence
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zakwave.elliptic import Modulus, complete_K, jacobi_sn_cn_dn
 from zakwave.errors import DomainError
@@ -76,6 +78,55 @@ def test_matrix_symmetric_and_constant_rayleigh(wave_std):
     rq = float(ones @ mat @ ones)
     assert rq == pytest.approx(op.shift + 3.0 * np.mean(
         wave_std.psi(_grid(op.L, op.N))), abs=1e-10)
+
+
+def test_spectrum_rejects_mode_counts_outside_one_to_N():
+    op = assemble(5.0, 0.0, np.zeros(32), 32)
+    for spec_fn in (periodic_spectrum, semiperiodic_spectrum):
+        for m in (0, -3, 33):
+            with pytest.raises(DomainError):
+                spec_fn(op, m)
+    assert periodic_spectrum(op, 32).eigenvectors.shape == (32, 32)
+
+
+def _basis_round_trip(op, boundary):
+    """B M B^H with M the mode-space matrix and B the explicit unitary map
+    from Bloch modes exp(i kappa_n x) to grid samples."""
+    n = np.fft.fftfreq(op.N, d=1.0 / op.N)
+    if boundary == "periodic":
+        kappa = 2.0 * math.pi * n / op.L
+    else:
+        kappa = math.pi * (2.0 * n + 1.0) / op.L
+    basis = np.exp(1j * np.outer(_grid(op.L, op.N), kappa)) / math.sqrt(op.N)
+    return basis @ op.fourier_matrix(boundary) @ basis.conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.floats(1.0, 30.0), shift=st.floats(-2.0, 2.0),
+       N=st.sampled_from([32, 64, 128, 256]),
+       coeffs=st.lists(st.floats(-3.0, 3.0), min_size=13, max_size=13))
+def test_grid_matrix_equals_basis_round_trip(L, shift, N, coeffs):
+    # band-limited real potential: mean plus six cosine and six sine harmonics
+    xs = _grid(L, N)
+    V = coeffs[0] + sum(a * np.cos(2.0 * math.pi * j * xs / L)
+                        + b * np.sin(2.0 * math.pi * j * xs / L)
+                        for j, (a, b) in enumerate(zip(coeffs[1:7], coeffs[7:]), 1))
+    op = assemble(L, shift, V, N)
+    for boundary in ("periodic", "semiperiodic"):
+        G = op.grid_matrix(boundary)
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - _basis_round_trip(op, boundary))) <= (
+            1e-12 * np.max(np.abs(G)))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "semiperiodic"])
+def test_lame_grid_spectrum_matches_mode_space_at_N1024(boundary, wave_std):
+    for m in (Modulus.from_k(0.5), wave_std.modulus):
+        op = lame_operator(m, 1024)
+        G = op.grid_matrix(boundary)
+        lam_grid = np.linalg.eigvalsh(G)[:24]
+        lam_mode = np.linalg.eigvalsh(op.fourier_matrix(boundary))[:24]
+        assert np.max(np.abs(lam_grid - lam_mode)) <= 1e-13 * np.max(np.abs(G))
 
 
 # --------------------------------------------------------------------------
