@@ -53,41 +53,62 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write(result, args) -> None:
+    """Save a family table, spectrum or record to --out in --format."""
+    if args.out is None:
+        return
+    if args.format == "json":
+        result.to_json(args.out)
+    else:
+        result.to_csv(args.out)
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _require(args, names):
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        print(f"error: missing required parameter(s): {flags}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"missing required parameter(s): {', '.join(f'--{n}' for n in missing)}")
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) parameters from the JSON config file, if given."""
-    if getattr(args, "config", None) is None:
-        return args
+def _read_json(path, what: str):
+    """Parsed JSON file; an unreadable or malformed file is a usage error."""
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"cannot read {what} {path}: {exc}")
+
+
+def _apply_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Parse argv again with the JSON config file's values as the command's
+    defaults, so the file fills every parameter the command line leaves out."""
+    cfg = _read_json(args.config, "config")
     if not isinstance(cfg, dict):
-        print("error: config file must hold a JSON object", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
-    return args
+        _usage_error("config file must hold a JSON object")
+    cfg = {key.replace("-", "_"): val for key, val in cfg.items()}
+    unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "func", "config"}))
+    if unknown:
+        _usage_error(f"config key(s) match no parameter of {args.command}: "
+                     f"{', '.join(unknown)}")
+    parser.commands[args.command].set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def _load_wave_args(args):
     """Wave from --wave-file (a cmd_construct JSON) or from --L/--c/--nu."""
     if getattr(args, "wave_file", None) is not None:
-        with open(args.wave_file) as fh:
-            payload = json.load(fh)
-        p = payload["params"]
-        return build_wave(float(p["L"]), float(p["c"]), float(p["nu"]))
+        payload = _read_json(args.wave_file, "wave file")
+        try:
+            p = payload["params"]
+            L, c, nu = float(p["L"]), float(p["c"]), float(p["nu"])
+        except (KeyError, TypeError, ValueError) as exc:
+            _usage_error(f"cannot read wave file {args.wave_file}: "
+                         f"no params L, c, nu ({exc!r})")
+        return build_wave(L, c, nu)
     _require(args, ["L", "c", "nu"])
     return build_wave(args.L, args.c, args.nu)
 
@@ -149,11 +170,7 @@ def cmd_sweep(args) -> int:
     except AssertionError as exc:
         print(f"verdict FAIL: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    if args.out is not None:
-        if args.format == "json":
-            table.to_json(args.out)
-        else:
-            table.to_csv(args.out)
+    _write(table, args)
     mass = table.column("mass")
     if not np.all(np.diff(mass) > 0.0):
         print("verdict FAIL: mass column not strictly increasing", file=sys.stderr)
@@ -235,11 +252,7 @@ def cmd_spectrum(args) -> int:
                  f"gaps {_fmt(lam[1] - lam[0])}, {_fmt(lam[2] - lam[1])}", failures)
         _verdict("second eigenvector ~ phi'", a >= 0.9999, f"alignment={_fmt(a)}", failures)
 
-    if args.out is not None:
-        if args.format == "json":
-            spec.to_json(args.out)
-        else:
-            spec.to_csv(args.out)
+    _write(spec, args)
     if failures:
         print(f"verdict FAIL: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERDICT
@@ -259,15 +272,6 @@ def _report_record(rec) -> None:
     print(f"sup rho_nu: {_fmt(float(np.max(rec.rho_nu)))}")
 
 
-def _write_record(rec, args) -> None:
-    if args.out is None:
-        return
-    if args.format == "json":
-        rec.to_json(args.out)
-    else:
-        rec.to_csv(args.out)
-
-
 def cmd_evolve(args) -> int:
     w = _load_wave_args(args)
     grid = GridSpec(L=w.params.L, N=args.N)
@@ -276,7 +280,7 @@ def cmd_evolve(args) -> int:
     rec = evolve(state0, w, grid, dt, args.t_end,
                  integrating_factor=args.integrating_factor)
     _report_record(rec)
-    _write_record(rec, args)
+    _write(rec, args)
     return EXIT_OK
 
 
@@ -289,7 +293,7 @@ def cmd_stability(args) -> int:
         renormalize_q2=args.renormalize_q2,
         integrating_factor=args.integrating_factor)
     _report_record(rec)
-    _write_record(rec, args)
+    _write(rec, args)
     return EXIT_OK
 
 
@@ -297,10 +301,9 @@ def cmd_solitary(args) -> int:
     _require(args, ["omega", "c", "delta", "seed"])
     rec = solitary_experiment(
         omega=args.omega, c=args.c, box_factor=args.box_factor,
-        delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed,
-        N=args.N, integrating_factor=args.integrating_factor)
+        delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed, N=args.N)
     _report_record(rec)
-    _write_record(rec, args)
+    _write(rec, args)
     return EXIT_OK
 
 
@@ -338,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Zakharov traveling waves: construction, "
                                  "spectra, and stability experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for --config
 
     sp = sub.add_parser("construct", parents=[], help="build one dnoidal wave")
     _add_wave_flags(sp)
@@ -391,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=1024)
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--t-end", type=float, default=10.0)
-    sp.add_argument("--integrating-factor", action="store_true", default=True)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_solitary)
 
@@ -402,10 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        args = _apply_config(args)
+        if args.config is not None:
+            args = _apply_config(parser, args, argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE

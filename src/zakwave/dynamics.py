@@ -219,9 +219,16 @@ def functional_B(s: FieldState, wave, grid: GridSpec) -> float:
 # --------------------------------------------------------------------------
 # modulated distance
 
-def _shift_field(fhat: np.ndarray, y: float, grid: GridSpec) -> np.ndarray:
-    """Samples of f(x + y) from the spectrum of f."""
-    return np.fft.ifft(fhat * np.exp(1j * grid.k * y))
+def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Fourier modes of f scaled so that sum |f_n|^2 = integral |f|^2
+    (Parseval); then <f(.+y), g> = sum f_n conj(g_n) e^{i k_n y}."""
+    return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
+
+
+def _distance_sq(fm: np.ndarray, gm: np.ndarray, phase: np.ndarray) -> float:
+    """||f(.+y) - g||^2 = sum |phase f_n - g_n|^2 with phase = e^{i k_n y}
+    (times any constant phase), summed over stacked rows as well."""
+    return float(np.sum(np.abs(phase * fm - gm) ** 2))
 
 
 def _peak(f: np.ndarray):
@@ -234,111 +241,100 @@ def _peak(f: np.ndarray):
     return m, float(np.clip(delta, -0.5, 0.5))
 
 
-def _gauged_spectra(u: np.ndarray, wave, grid: GridSpec, t: float):
-    """Spectra of the gauged field w and of w', w'', plus the profile samples
-    (phi, phi') on the coordinate wrapped to [-L/2, L/2), so non-periodic
-    solitary tails are centered rather than truncated."""
-    c, _, _ = _wave_scalars(wave)
-    # the gauge's phase seam tracks the antipode of x = c t instead of
-    # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing
-    what = np.fft.fft(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u)
-    dwhat = 1j * grid.k * what
-    xi = _wrapped(grid)
-    return what, dwhat, 1j * grid.k * dwhat, wave.phi(xi), wave.phi_prime(xi)
-
-
-def _omega_inner(what, dwhat, phi, dphi, nu, y, grid):
-    """G(y) = <w'(.+y), phi'> + nu <w(.+y), phi> (phi real)."""
-    wy = _shift_field(what, y, grid)
-    dwy = _shift_field(dwhat, y, grid)
-    return grid.integrate(dwy * dphi) + nu * grid.integrate(wy * phi)
-
-
-def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0):
-    """nu-weighted modulated distance of u to the wave orbit.
-
-    Applies the traveling gauge, computes the shift correlation for every
-    cyclic shift at once, takes the closed-form optimal phase
-    theta*(y) = -arg G(y), and refines the best shift to sub-grid accuracy
-    by parabolic interpolation.  Returns (rho, y_star, theta_star).
-    """
-    what, dwhat, ddwhat, phi, dphi = _gauged_spectra(u, wave, grid, t)
-
-    # G at all grid shifts via cross-correlation in Fourier space
-    phihat = np.fft.fft(phi)
-    dphihat = 1j * grid.k * phihat
-    corr = np.fft.ifft(what * np.conj(phihat))
-    corr_d = np.fft.ifft(dwhat * np.conj(dphihat))
-    G_grid = (grid.L / grid.N) * (corr_d + nu * corr)
-
-    # parabolic seed for the sub-grid shift, then Newton on |G|^2
-    m, delta = _peak(np.abs(G_grid))
+def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec):
+    """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}: the best
+    grid shift, the parabolic vertex through its neighbours, and Newton on
+    |C|^2 started from the vertex."""
     dx = grid.L / grid.N
-    y_ref = (m + delta) * dx
+    # at the grid shifts y = j dx, C is N ifft(g); the scale leaves the
+    # peak and the vertex unchanged
+    m, delta = _peak(np.abs(np.fft.ifft(g)))
+    y = (m + delta) * dx
+    derivs = np.stack((g, 1j * k * g, -k * k * g))  # C, C', C'' share e^{iky}
     for _ in range(8):
-        G = _omega_inner(what, dwhat, phi, dphi, nu, y_ref, grid)
-        Gp = _omega_inner(dwhat, ddwhat, phi, dphi, nu, y_ref, grid)
-        Gpp = _omega_inner(ddwhat, 1j * grid.k * ddwhat, phi, dphi, nu, y_ref, grid)
-        slope = 2.0 * (np.conj(G) * Gp).real
-        curv = 2.0 * ((np.conj(Gp) * Gp).real + (np.conj(G) * Gpp).real)
+        C, Cp, Cpp = derivs @ np.exp(1j * k * y)
+        slope = 2.0 * (np.conj(C) * Cp).real
+        curv = 2.0 * (abs(Cp) ** 2 + (np.conj(C) * Cpp).real)
         if curv >= 0.0:
             break
         step = -slope / curv
         if abs(step) > dx:
             break
-        y_ref += step
+        y += step
         if abs(step) < 1e-14 * max(1.0, grid.L):
             break
-    candidates = [m * dx, (m + delta) * dx, y_ref]
+    return m * dx, (m + delta) * dx, y
 
+
+def _orbit_modes(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float):
+    """Stacked modes a = (w', sqrt(nu) w) of the gauged field and
+    b = (phi', sqrt(nu) phi) of the profile, and the product g = sum a conj(b)
+    with G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>.
+
+    The profile is sampled on the coordinate wrapped to [-L/2, L/2), so
+    non-periodic solitary tails are centered rather than truncated."""
+    c, _, _ = _wave_scalars(wave)
+    # the gauge's phase seam tracks the antipode of x = c t instead of
+    # cutting through the profile; for carrier-periodic waves (c L multiple
+    # of 4 pi) the wrap changes nothing
+    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
+    xi = _wrapped(grid)
+    r = math.sqrt(nu)
+    a = np.stack((1j * grid.k * w, r * w))
+    b = np.stack((_modes(wave.phi_prime(xi), grid), r * _modes(wave.phi(xi), grid)))
+    return a, b, np.sum(a * np.conj(b), axis=0)
+
+
+def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0):
+    """nu-weighted modulated distance of u to the wave orbit.
+
+    Applies the traveling gauge, correlates the Fourier modes of field and
+    profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
+    and refines the best shift to sub-grid accuracy (parabolic vertex, then
+    Newton).  Returns (rho, y_star, theta_star).
+    """
+    a, b, g = _orbit_modes(u, wave, nu, grid, t)
+    k = grid.k
     best = None
-    for y in candidates:
-        G = _omega_inner(what, dwhat, phi, dphi, nu, y, grid)
-        theta = float(-np.angle(G)) % (2.0 * math.pi)
+    for y in _best_shift(g, k, grid):
+        e = np.exp(1j * k * y)
+        theta = float(-np.angle(g @ e)) % (2.0 * math.pi)
         # direct evaluation of Omega: well conditioned when the distance is
         # tiny, unlike the expanded const - 2|G| form
-        wy = _shift_field(what, y, grid)
-        dwy = _shift_field(dwhat, y, grid)
-        phase = np.exp(1j * theta)
-        omega_val = (grid.integrate(np.abs(phase * dwy - dphi) ** 2)
-                     + nu * grid.integrate(np.abs(phase * wy - phi) ** 2))
+        omega_val = _distance_sq(a, b, np.exp(1j * theta) * e)
         if best is None or omega_val < best[0]:
             best = (omega_val, y % grid.L, theta)
-    rho = math.sqrt(max(best[0], 0.0))
-    return rho, best[1], best[2]
+    return math.sqrt(best[0]), best[1], best[2]
 
 
 def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
                        theta_star: float, grid: GridSpec, t: float = 0.0):
     """Gradient of Omega with respect to (y, theta) at the reported minimizer."""
-    what, dwhat, ddwhat, phi, dphi = _gauged_spectra(u, wave, grid, t)
-    G = _omega_inner(what, dwhat, phi, dphi, nu, y_star, grid)
-    Gprime = _omega_inner(dwhat, ddwhat, phi, dphi, nu, y_star, grid)
-    phase = np.exp(1j * theta_star)
-    d_y = -2.0 * (phase * Gprime).real
-    d_theta = 2.0 * (phase * G).imag
+    _, _, g = _orbit_modes(u, wave, nu, grid, t)
+    k = grid.k
+    # e^{i theta} G(y) and e^{i theta} G'(y)
+    e = np.exp(1j * (theta_star + k * y_star))
+    d_y = -2.0 * np.sum(1j * k * g * e).real
+    d_theta = 2.0 * np.sum(g * e).imag
     return float(d_y), float(d_theta)
 
 
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples."""
-    fhat, ghat = np.fft.fft(f), np.fft.fft(g)
-    m, delta = _peak(np.fft.ifft(fhat * np.conj(ghat)).real * grid.L / grid.N)
-    dx = grid.L / grid.N
-    norms = grid.integrate(f**2) + grid.integrate(g**2)
-    best = None
-    for y in (m * dx, (m + delta) * dx):
-        fy = _shift_field(fhat, y, grid).real
-        d2 = norms - 2.0 * grid.integrate(fy * g)
-        if best is None or d2 < best[0]:
-            best = (d2, y % grid.L)
-    return math.sqrt(max(best[0], 0.0)), best[1]
+    fm, gm = _modes(f, grid), _modes(g, grid)
+    k = grid.k
+    corr = fm * np.conj(gm)
+    # the real correlation C(y) is at least -||f|| ||g||, so after this
+    # offset the largest |C| is the largest C, not an anti-correlation
+    corr[0] += np.linalg.norm(fm) * np.linalg.norm(gm)
+    best = min(((_distance_sq(fm, gm, np.exp(1j * k * y)), y % grid.L)
+                for y in _best_shift(corr, k, grid)), key=lambda c: c[0])
+    return math.sqrt(best[0]), best[1]
 
 
 def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
-    fy = _shift_field(np.fft.fft(f), y, grid).real
-    return math.sqrt(max(grid.integrate((fy - g) ** 2), 0.0))
+    return math.sqrt(_distance_sq(_modes(f, grid), _modes(g, grid),
+                                  np.exp(1j * grid.k * y)))
 
 
 # --------------------------------------------------------------------------
@@ -529,8 +525,7 @@ def stability_experiment(w: DnoidalWave, delta: float, t_end: float,
 def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                         delta: float = 0.0, t_end: float = 10.0,
                         dt: float | None = None, seed: int = 0, N: int = 1024,
-                        save_every: int | None = None,
-                        integrating_factor: bool = True) -> ExperimentRecord:
+                        save_every: int | None = None) -> ExperimentRecord:
     """Solitary-wave run on a torus large enough that tails are below 1e-14."""
     if box_factor < 80.0:
         raise DomainError("box_factor must be >= 80 so wrapped tails stay < 1e-14")
@@ -545,4 +540,4 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
     meta = {"kind": "solitary", "delta": delta, "seed": seed,
             "box_factor": box_factor, "wave": {"omega": omega, "c": c}}
     return evolve(state0, sw, grid, dt, t_end, save_every=save_every,
-                  integrating_factor=integrating_factor, metadata=meta)
+                  integrating_factor=True, metadata=meta)

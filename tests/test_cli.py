@@ -98,6 +98,30 @@ def test_construct_json_roundtrips_into_spectrum(tmp_path, capsys):
     assert out.count("[pass]") >= 5
 
 
+def test_unreadable_wave_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "evolve", "--wave-file", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert "cannot read wave file" in err
+
+
+def test_wave_file_without_params_is_usage_error(tmp_path, capsys):
+    wave_json = tmp_path / "wave.json"
+    wave_json.write_text(json.dumps({"x": [0.0]}))
+    code, _, err = run(capsys, "evolve", "--wave-file", str(wave_json))
+    assert code == 1
+    assert "cannot read wave file" in err
+
+
+def test_solitary_writes_series_header(tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    code, _, _ = run(capsys, "solitary", "--omega", "-1", "--c", "0.5",
+                     "--delta", "1e-3", "--seed", "1", "--t-end", "0.05",
+                     "--out", str(out))
+    assert code == 0
+    header = out.read_text().splitlines()[0]
+    assert header == "t,E,Q1,Q2,B,rho_nu,y_star,theta_star,dist_v,dist_V"
+
+
 def test_sweep_writes_family_table(tmp_path, capsys):
     out = tmp_path / "family.csv"
     code, stdout, _ = run(capsys, "sweep", "--L", "6.283185307179586",
@@ -171,3 +195,22 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
                        str(tmp_path / "missing.json"))
     assert code == 1
     assert "cannot read config" in err
+
+
+def test_config_fills_flags_that_have_parser_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 6.283185307179586, "c": 0.0, "nu": 1.0,
+                               "samples": 64}))
+    out = tmp_path / "wave.csv"
+    code, _, _ = run(capsys, "construct", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 64
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 6.283185307179586, "c": 0.0, "nu": 1.0,
+                               "smaples": 64}))
+    code, _, err = run(capsys, "construct", "--config", str(cfg))
+    assert code == 1
+    assert "smaples" in err

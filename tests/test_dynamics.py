@@ -17,6 +17,7 @@ from zakwave.dynamics import (
     invariants,
     orbital_distance,
     q1_paper_form,
+    shift_distance,
     solitary_experiment,
     stability_experiment,
     stationarity_check,
@@ -319,6 +320,30 @@ def test_orbital_distance_brute_force_oracle(wave_std, grid_std):
     oracle, grid_only = brute_force_rho(u, wave_std, wave_std.params.nu, grid_std)
     assert rho == pytest.approx(oracle, abs=1e-6)
     assert rho <= grid_only + 1e-12  # grid minimum sits above the true infimum
+
+
+def _l2(f, grid):
+    return math.sqrt(grid.integrate(f**2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(y0=st.floats(0.0, STD_L, exclude_max=True))
+def test_shift_distance_recovers_shift(wave_std, grid_std, y0):
+    psi = wave_state(wave_std, grid_std).v
+    shifted = np.fft.ifft(np.fft.fft(psi) * np.exp(-1j * grid_std.k * y0)).real
+    d, y = shift_distance(shifted, psi, grid_std)
+    assert d <= 1e-10 * _l2(psi, grid_std)
+    assert _circular_gap(y, y0, grid_std.L) <= 1e-8
+
+
+def test_shift_distance_is_not_fooled_by_anticorrelation(wave_std, grid_std):
+    # f = -g: the largest |correlation| sits at y = 0, where the distance is
+    # largest, so the search must maximize the signed correlation
+    psi = wave_state(wave_std, grid_std).v
+    g = psi - np.mean(psi)
+    d, _ = shift_distance(-g, g, grid_std)
+    grid_min = min(_l2(np.roll(-g, -j) - g, grid_std) for j in range(grid_std.N))
+    assert d <= grid_min + 1e-12
 
 
 def test_stationarity_exact_and_perturbed(wave_std, grid_std):

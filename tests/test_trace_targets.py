@@ -1,12 +1,14 @@
 """The traced benchmark run wraps zakwave names from outside; these checks
-fail when one of those names is deleted or renamed, or when a step stops
-doing the 16 transforms the benchmark's self-test expects."""
+fail when one of those names is deleted or renamed, when a step stops
+doing the 16 transforms the benchmark's self-test expects, or when the
+modulated-distance search transforms shifted fields again."""
 
 import os
 import sys
 
 import pytest
 
+from zakwave import dynamics
 from zakwave.dynamics import Evolver, wave_state
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -50,3 +52,13 @@ def test_traced_step_does_sixteen_transforms(tracer, wave_std, grid_std):
     assert inside[0] == "dynamics.step"
     assert inside.count("dynamics.rhs") == 4
     assert inside.count("fft") == 16
+
+
+def test_traced_orbital_distance_does_at_most_four_transforms(tracer, wave_std, grid_std):
+    # field, profile and profile-derivative modes plus one correlation ifft
+    u = wave_state(wave_std, grid_std).u
+    first = len(tracer.names)
+    dynamics.orbital_distance(u, wave_std, wave_std.params.nu, grid_std)
+    inside = tracer.names[first:]
+    assert inside[0] == "dynamics.orbital_distance"
+    assert inside.count("fft") <= 4
