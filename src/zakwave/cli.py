@@ -15,14 +15,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import (
-    GridSpec,
-    default_dt,
-    evolve,
-    solitary_experiment,
-    stability_experiment,
-    wave_state,
-)
+from .dynamics import solitary_experiment, stability_experiment
 from .errors import BlowUpError, DomainError
 from .spectral import (
     hill_L3,
@@ -84,18 +77,37 @@ def _read_json(path, what: str):
 
 
 def _apply_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Parse argv again with the JSON config file's values as the command's
-    defaults, so the file fills every parameter the command line leaves out."""
+    """Parse argv again with the JSON config file's values as flags placed
+    before the explicit ones: the file fills every parameter the command
+    line leaves out, and argparse checks each value by its flag's type and
+    choices."""
     cfg = _read_json(args.config, "config")
     if not isinstance(cfg, dict):
         _usage_error("config file must hold a JSON object")
-    cfg = {key.replace("-", "_"): val for key, val in cfg.items()}
-    unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "func", "config"}))
-    if unknown:
-        _usage_error(f"config key(s) match no parameter of {args.command}: "
-                     f"{', '.join(unknown)}")
-    parser.commands[args.command].set_defaults(**cfg)
-    return parser.parse_args(argv)
+    sub = parser.commands[args.command]
+    flags = {}
+    for action in sub._actions:
+        if action.option_strings and action.dest not in ("help", "config"):
+            flags.setdefault(action.dest, []).append(action)
+    tokens = []
+    for key, val in cfg.items():
+        actions = flags.get(key.replace("-", "_"))
+        if actions is None:
+            _usage_error(f"config key {key} matches no parameter of {sub.prog}")
+        if actions[0].nargs == 0:
+            # an on/off flag: the flag that stores val, none if val is the default
+            if not isinstance(val, bool):
+                _usage_error(f"config key {key} takes true or false")
+            tokens += [a.option_strings[0] for a in actions if a.const is val][:1]
+        elif isinstance(val, str) or (actions[0].type and type(val) in (int, float)):
+            # a number goes in as its JSON text, so 256.5 is no valid int
+            text = val if isinstance(val, str) else json.dumps(val)
+            tokens.append(f"{actions[0].option_strings[0]}={text}")
+        else:
+            _usage_error(f"config key {key} takes a "
+                         f"{'number' if actions[0].type else 'string'}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _load_wave_args(args):
@@ -160,6 +172,8 @@ def cmd_construct(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require(args, ["L", "c", "nu-min", "nu-max"])
+    if args.points < 2:
+        _usage_error(f"--points must be at least 2, got {args.points}")
     if args.nu_min <= nu_threshold(args.L):
         raise DomainError(
             f"nu_min={args.nu_min} <= 2*pi^2/L^2={nu_threshold(args.L)}"
@@ -222,8 +236,7 @@ def cmd_spectrum(args) -> int:
 
     # the verdicts read lambda_0 .. lambda_2
     if args.modes < 3:
-        print(f"error: --modes must be at least 3, got {args.modes}", file=sys.stderr)
-        return EXIT_USAGE
+        _usage_error(f"--modes must be at least 3, got {args.modes}")
     op = hill_L3(w, args.N) if args.operator == "L3" else hill_L4(w, args.N)
     spec = periodic_spectrum(op, args.modes)
     lam = spec.eigenvalues
@@ -274,11 +287,8 @@ def _report_record(rec) -> None:
 
 def cmd_evolve(args) -> int:
     w = _load_wave_args(args)
-    grid = GridSpec(L=w.params.L, N=args.N)
-    dt = args.dt if args.dt is not None else default_dt(w.params.L)
-    state0 = wave_state(w, grid)
-    rec = evolve(state0, w, grid, dt, args.t_end,
-                 integrating_factor=args.integrating_factor)
+    # delta = 0 starts from the exact wave state
+    rec = stability_experiment(w, delta=0.0, t_end=args.t_end, dt=args.dt, N=args.N)
     _report_record(rec)
     _write(rec, args)
     return EXIT_OK
@@ -290,8 +300,7 @@ def cmd_stability(args) -> int:
     rec = stability_experiment(
         w, delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed,
         respect_mean_condition=args.respect_mean_condition, N=args.N,
-        renormalize_q2=args.renormalize_q2,
-        integrating_factor=args.integrating_factor)
+        renormalize_q2=args.renormalize_q2)
     _report_record(rec)
     _write(rec, args)
     return EXIT_OK
@@ -332,8 +341,6 @@ def _add_run_flags(sp):
     sp.add_argument("--dt", type=float, default=None,
                     help="time step (default 1e-4 * (L/2pi)^2)")
     sp.add_argument("--t-end", type=float, default=5.0)
-    sp.add_argument("--integrating-factor", action="store_true",
-                    help="treat the linear Schroedinger term exactly in Fourier space")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,17 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box-factor", type=float, default=80.0)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--N", type=int, default=1024)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=10.0)
+    _add_run_flags(sp)
     _add_io_flags(sp)
-    sp.set_defaults(func=cmd_solitary)
+    sp.set_defaults(func=cmd_solitary, N=1024, t_end=10.0)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

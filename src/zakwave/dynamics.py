@@ -4,8 +4,8 @@
 
 on a periodic grid, plus the modulated-distance machinery used by the
 orbital-stability experiments.  Derivatives are spectral, quadratic
-products are 2/3-dealiased, and time stepping is classical RK4 with an
-optional integrating factor for the stiff i u_xx term.
+products are 2/3-dealiased, and time stepping is Lawson integrating-factor
+RK4: the stiff linear i u_xx term is transported exactly in Fourier space.
 """
 
 from __future__ import annotations
@@ -132,26 +132,23 @@ class Evolver:
     """Holds the grid-derived spectral machinery for one evolution run.
 
     The spectral state is one complex (3, N) array stacking (vhat, Vhat,
-    uhat).  Plain RK4 keeps the linear -i k^2 uhat term in the right-hand
-    side; the integrating-factor variant transports it exactly instead.
+    uhat).  The linear -i k^2 uhat term is left out of the right-hand side
+    and transported exactly by the Lawson factors E_half and E_full.
     """
 
-    def __init__(self, grid: GridSpec, dt: float, integrating_factor: bool = False):
-        if dt <= 0.0:
-            raise DomainError("dt must be positive")
+    def __init__(self, grid: GridSpec, dt: float):
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise DomainError(f"dt={dt} must be finite and positive")
         self.grid = grid
         self.dt = dt
-        self.integrating_factor = integrating_factor
         self.k = grid.k
         self.ik = 1j * self.k
         self.k2 = self.k**2
         self.mask = grid.dealias_mask
-        # Lawson factors for (v, V, u); unit factors reduce the scheme to RK4
-        self.E_half = self.E_full = 1.0
-        if integrating_factor:
-            ones = np.ones(grid.N)
-            self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))
-            self.E_full = self.E_half**2
+        # Lawson factors for (v, V, u) over half and whole steps
+        ones = np.ones(grid.N)
+        self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))
+        self.E_full = self.E_half**2
 
     def to_spectral(self, s: FieldState) -> np.ndarray:
         return np.stack((np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)))
@@ -172,13 +169,10 @@ class Evolver:
         d[0] = -self.ik * Vhat
         d[1] = -self.ik * (vhat + u2hat)
         d[2] = -1j * uvhat
-        if not self.integrating_factor:
-            d[2] = d[2] - 1j * self.k2 * uhat
         return d
 
     def step(self, spec: np.ndarray) -> np.ndarray:
-        """One Lawson integrating-factor RK4 step on the spectral state;
-        with unit factors it is the classical RK4 step."""
+        """One Lawson integrating-factor RK4 step on the spectral state."""
         dt, eh, ef, f = self.dt, self.E_half, self.E_full, self.rhs_spectral
         k1 = f(spec)
         k2 = f(eh * (spec + 0.5 * dt * k1))
@@ -415,14 +409,15 @@ def _h1nu(f, grid, nu) -> float:
 
 
 def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
-           save_every: int | None = None, integrating_factor: bool = False,
-           metadata: dict | None = None) -> ExperimentRecord:
+           save_every: int | None = None, metadata: dict | None = None) -> ExperimentRecord:
     """Run the system from state0 and record diagnostics against `wave`."""
     c, omega, nu = _wave_scalars(wave)
+    ev = Evolver(grid, dt)
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise DomainError(f"t_end={t_end} must be finite and non-negative")
     n_steps = int(round(t_end / dt))
     if save_every is None:
         save_every = max(1, n_steps // 200)
-    ev = Evolver(grid, dt, integrating_factor=integrating_factor)
     spec = ev.to_spectral(state0)
     sup0 = max(np.max(np.abs(state0.v)), np.max(np.abs(state0.V)),
                np.max(np.abs(state0.u)), 1e-30)
@@ -463,8 +458,7 @@ def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
     meta = dict(metadata or {})
     meta.update({
         "L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
-        "integrating_factor": integrating_factor, "c": c, "omega": omega,
-        "nu": nu, "B_wave": b_wave,
+        "c": c, "omega": omega, "nu": nu, "B_wave": b_wave,
     })
     return ExperimentRecord(
         metadata=meta,
@@ -507,7 +501,6 @@ def stability_experiment(w: DnoidalWave, delta: float, t_end: float,
                          dt: float | None = None, seed: int = 0,
                          respect_mean_condition: bool = True,
                          N: int = 256, renormalize_q2: bool = False,
-                         integrating_factor: bool = False,
                          save_every: int | None = None) -> ExperimentRecord:
     """Seeded perturbed evolution around a dnoidal wave."""
     grid = GridSpec(L=w.params.L, N=N)
@@ -518,8 +511,7 @@ def stability_experiment(w: DnoidalWave, delta: float, t_end: float,
     meta = {"kind": "dnoidal", "delta": delta, "seed": seed,
             "respect_mean_condition": respect_mean_condition,
             "wave": {"L": w.params.L, "c": w.params.c, "nu": w.params.nu}}
-    return evolve(state0, w, grid, dt, t_end, save_every=save_every,
-                  integrating_factor=integrating_factor, metadata=meta)
+    return evolve(state0, w, grid, dt, t_end, save_every=save_every, metadata=meta)
 
 
 def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
@@ -539,5 +531,4 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                                       renormalize_q2=False)
     meta = {"kind": "solitary", "delta": delta, "seed": seed,
             "box_factor": box_factor, "wave": {"omega": omega, "c": c}}
-    return evolve(state0, sw, grid, dt, t_end, save_every=save_every,
-                  integrating_factor=True, metadata=meta)
+    return evolve(state0, sw, grid, dt, t_end, save_every=save_every, metadata=meta)

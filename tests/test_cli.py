@@ -69,6 +69,43 @@ def test_unstable_timestep_is_blowup(capsys):
     assert "blow-up at t=" in err
 
 
+STD_WAVE = ("--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2")
+
+
+def test_bad_time_step_or_end_time_is_domain_error(capsys):
+    runs = {
+        "evolve": STD_WAVE,
+        "stability": STD_WAVE + ("--delta", "1e-3", "--seed", "1"),
+        "solitary": ("--omega", "-1", "--c", "0.5", "--delta", "1e-3", "--seed", "1"),
+    }
+    for command, flags in runs.items():
+        for bad in (("--dt", "0"), ("--dt", "nan"), ("--dt=-1e-3",),
+                    ("--t-end", "-1"), ("--t-end", "inf")):
+            code, _, err = run(capsys, command, *flags, *bad)
+            assert code == 2, (command, bad)
+            assert "domain error" in err
+            assert "Traceback" not in err
+
+
+def test_stability_at_N512_does_not_blow_up(capsys):
+    # plain RK4 at the default dt is past its k_max^2 dt bound here
+    code, _, err = run(capsys, "stability", "--L", "25.132741228718345",
+                       "--c", "0.5", "--nu", "0.2", "--delta", "1e-3",
+                       "--seed", "1", "--N", "512", "--t-end", "0.05")
+    assert code == 0, err
+
+
+def test_too_few_sweep_points_is_usage_error(capsys):
+    for points in ("-1", "0", "1"):
+        code, out, err = run(capsys, "sweep", "--L", "6.283185307179586",
+                             "--c", "0", "--nu-min", "0.6", "--nu-max", "5.0",
+                             "--points", points)
+        assert code == 1, points
+        assert "--points" in err
+        assert "rows" not in out
+        assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # outputs
 
@@ -214,3 +251,64 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--config", str(cfg))
     assert code == 1
     assert "smaples" in err
+
+
+def _run_with_config(tmp_path, capsys, command, cfg, *argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, command, "--config", str(path), *argv)
+
+
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys):
+    code, out, err = _run_with_config(
+        tmp_path, capsys, "spectrum",
+        {"L": 25.132741228718345, "c": 0.5, "nu": 0.2, "operator": "bogus"})
+    assert code == 1
+    assert "bogus" in err
+    assert "eigenvalues" not in out
+    out_file = tmp_path / "wave.out"
+    for command in ("construct", "sweep"):
+        cfg = {"L": 6.283185307179586, "c": 0.0, "format": "xml"}
+        cfg.update({"nu": 1.0} if command == "construct"
+                   else {"nu_min": 0.6, "nu_max": 5.0, "points": 4})
+        code, _, err = _run_with_config(tmp_path, capsys, command, cfg,
+                                        "--out", str(out_file))
+        assert code == 1, command
+        assert "xml" in err
+        assert not out_file.exists()
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    wave = {"L": 25.132741228718345, "c": 0.5, "nu": 0.2}
+    for extra in ({"N": 256.5}, {"N": "256.5"}, {"N": True}, {"L": "long"},
+                  {"L": None}, {"out": 3}):
+        code, _, err = _run_with_config(tmp_path, capsys, "spectrum",
+                                        {**wave, **extra})
+        assert code == 1, extra
+        assert "domain error" not in err
+        assert "Traceback" not in err
+
+
+def test_config_on_off_flag_takes_only_true_or_false(tmp_path, capsys):
+    base = {"L": 6.283185307179586, "c": 0.0, "nu": 1.0, "N": 128,
+            "delta": 1e-3, "seed": 7, "t_end": 0.02}
+    for val in (1, "false", None):
+        code, _, err = _run_with_config(tmp_path, capsys, "stability",
+                                        {**base, "respect_mean_condition": val})
+        assert code == 1, val
+        assert "respect_mean_condition" in err
+    outs = {}
+    for val in (True, False):
+        outs[val] = tmp_path / f"{val}.csv"
+        code, _, _ = _run_with_config(tmp_path, capsys, "stability",
+                                      {**base, "respect_mean_condition": val,
+                                       "renormalize_q2": False},
+                                      "--out", str(outs[val]))
+        assert code == 0, val
+    direct = tmp_path / "direct.csv"
+    code, _, _ = run(capsys, "stability", "--L", "6.283185307179586", "--c", "0",
+                     "--nu", "1.0", "--N", "128", "--delta", "1e-3", "--seed", "7",
+                     "--t-end", "0.02", "--no-respect-mean-condition",
+                     "--out", str(direct))
+    assert code == 0
+    assert filecmp.cmp(outs[False], direct, shallow=False)

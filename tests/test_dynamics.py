@@ -35,14 +35,18 @@ def _zero_state(grid):
 
 
 def _rhs(s, grid):
-    """Physical-space view of the spectral right-hand side at s."""
+    """Physical-space view of the full right-hand side at s: the spectral
+    right-hand side plus the -i k^2 uhat term the step transports exactly."""
     ev = Evolver(grid, dt=1.0)
-    return ev.to_physical(ev.rhs_spectral(ev.to_spectral(s)), s.t)
+    spec = ev.to_spectral(s)
+    d = ev.rhs_spectral(spec)
+    d[2] -= 1j * ev.k2 * spec[2]
+    return ev.to_physical(d, s.t)
 
 
-def _advance(s, dt, grid, n, integrating_factor=False):
+def _advance(s, dt, grid, n):
     """State after n steps of size dt from s."""
-    ev = Evolver(grid, dt, integrating_factor=integrating_factor)
+    ev = Evolver(grid, dt)
     spec = ev.to_spectral(s)
     for _ in range(n):
         spec = ev.step(spec)
@@ -93,45 +97,31 @@ def test_rhs_matches_analytic_transport(wave_std, grid_std):
     assert np.max(np.abs(d.u - du_exact)) <= 1e-8
 
 
-def test_rk4_fourth_order_convergence(wave_std, grid_std):
-    # a strongly perturbed state so the time-discretization error is far
-    # above the machine floor; reference is a much finer dt run
-    base = wave_state(wave_std, grid_std)
+def _strongly_perturbed(wave, grid):
+    """The standard wave plus an O(1/2) band-limited perturbation, so that
+    time-discretization error is far above the rounding floor."""
+    base = wave_state(wave, grid)
     rng = np.random.default_rng(1)
-    s0 = FieldState(
+    return FieldState(
         0.0,
-        base.v + 0.5 * band_limited_perturbation(rng, grid_std, 16),
-        base.V + 0.5 * band_limited_perturbation(rng, grid_std, 16, zero_mean=True),
-        base.u + 0.5 * band_limited_perturbation(rng, grid_std, 16,
-                                                 complex_field=True),
+        base.v + 0.5 * band_limited_perturbation(rng, grid, 16),
+        base.V + 0.5 * band_limited_perturbation(rng, grid, 16, zero_mean=True),
+        base.u + 0.5 * band_limited_perturbation(rng, grid, 16, complex_field=True),
     )
+
+
+def test_rk4_fourth_order_convergence(wave_std, grid_std):
+    # reference is a much finer dt run; the dt pair is coarse enough that
+    # the error at the finer step is still far above rounding
+    s0 = _strongly_perturbed(wave_std, grid_std)
 
     def run(dt, T=0.2):
         return _advance(s0, dt, grid_std, int(round(T / dt)))
 
     ref = run(1.25e-4)
-    e1 = np.max(np.abs(run(2e-3).u - ref.u))
-    e2 = np.max(np.abs(run(1e-3).u - ref.u))
+    e1 = np.max(np.abs(run(8e-3).u - ref.u))
+    e2 = np.max(np.abs(run(4e-3).u - ref.u))
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
-
-
-def test_plain_and_integrating_factor_steps_agree(wave_std, grid_std):
-    # both schemes are fourth order, so on a smooth state their difference
-    # is time-discretization error and shrinks about 16x per halving of dt
-    base = wave_state(wave_std, grid_std)
-    rng = np.random.default_rng(1)
-    u0 = base.u + 1e-2 * band_limited_perturbation(rng, grid_std, 16, complex_field=True)
-    s0 = FieldState(0.0, base.v, base.V, u0)
-
-    def gap(dt, T=0.2):
-        n = int(round(T / dt))
-        plain = _advance(s0, dt, grid_std, n)
-        lawson = _advance(s0, dt, grid_std, n, integrating_factor=True)
-        return np.max(np.abs(plain.u - lawson.u))
-
-    coarse, fine = gap(2e-3), gap(1e-3)
-    assert coarse <= 1e-11
-    assert coarse >= 8.0 * fine
 
 
 def test_step_raises_on_nonfinite(wave_c0):
@@ -170,12 +160,16 @@ def test_conservation_drift_small(exact_run):
 
 
 def test_conservation_drift_shrinks_with_dt(wave_std, grid_std):
-    def drift(dt):
-        rec = evolve(wave_state(wave_std, grid_std), wave_std, grid_std,
-                     dt=dt, t_end=0.1, save_every=max(1, int(round(0.1 / dt))))
+    # on the exact wave both drifts are rounding noise, so drift on a
+    # strongly perturbed state, where a fourth-order step gains about 16x
+    s0 = _strongly_perturbed(wave_std, grid_std)
+
+    def drift(dt, T=0.2):
+        rec = evolve(s0, wave_std, grid_std, dt=dt, t_end=T,
+                     save_every=int(round(T / dt)))
         return relative_drift(rec.E) + relative_drift(rec.Q2)
 
-    assert drift(2e-3) >= drift(1e-3) * 0.5  # both near machine noise floor
+    assert drift(4e-3) >= 8.0 * drift(2e-3)
 
 
 def test_uv_momentum_form_not_conserved(exact_run):
