@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,13 @@ EXIT_BLOWUP = 4
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here reserves 2
     for domain violations, so remap usage failures to 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1 and -.5 as values but -1e-3 as an unknown
+        # option; widen its negative-number pattern to exponent forms
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

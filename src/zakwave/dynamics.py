@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,9 +132,15 @@ def default_dt(L: float) -> float:
 class Evolver:
     """Holds the grid-derived spectral machinery for one evolution run.
 
-    The spectral state is one complex (3, N) array stacking (vhat, Vhat,
-    uhat).  The linear -i k^2 uhat term is left out of the right-hand side
-    and transported exactly by the Lawson factors E_half and E_full.
+    The spectral state is one complex (3, B, N) array stacking (vhat, Vhat,
+    uhat) for a batch of B members.  `to_spectral` reads a FieldState with
+    (N,) fields as a batch of one and one with (B, N) fields as a batch of
+    B; `to_physical` returns (B, N) fields.  Every transform and product
+    acts along the last axis, so each member steps exactly as it would
+    alone.  The per-wavenumber arrays carry a unit member axis, which a
+    batch of one matches without broadcasting.  The linear -i k^2 uhat
+    term is left out of the right-hand side and transported exactly by the
+    Lawson factors E_half and E_full.
     """
 
     def __init__(self, grid: GridSpec, dt: float):
@@ -142,16 +149,18 @@ class Evolver:
         self.grid = grid
         self.dt = dt
         self.k = grid.k
-        self.ik = 1j * self.k
+        self.ik = 1j * self.k[None]
         self.k2 = self.k**2
-        self.mask = grid.dealias_mask
-        # Lawson factors for (v, V, u) over half and whole steps
+        # complex, so that the in-place masking needs no cast from bool
+        self.mask = grid.dealias_mask.astype(complex)[None]
+        # Lawson factors for (v, V, u) over half and whole steps, (3, 1, N)
         ones = np.ones(grid.N)
-        self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))
+        self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))[:, None]
         self.E_full = self.E_half**2
 
     def to_spectral(self, s: FieldState) -> np.ndarray:
-        return np.stack((np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)))
+        spec = np.stack((np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)))
+        return spec.reshape(3, -1, self.grid.N)
 
     def to_physical(self, spec: np.ndarray, t: float) -> FieldState:
         return FieldState(t=t, v=np.fft.ifft(spec[0]).real, V=np.fft.ifft(spec[1]).real,
@@ -408,27 +417,54 @@ def _h1nu(f, grid, nu) -> float:
     return math.sqrt(abs(grid.integrate(np.abs(df) ** 2)) + nu * abs(grid.integrate(np.abs(f) ** 2)))
 
 
-def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
-           save_every: int | None = None, metadata: dict | None = None) -> ExperimentRecord:
-    """Run the system from state0 and record diagnostics against `wave`."""
+def _sup(s: FieldState) -> float:
+    return max(np.max(np.abs(s.v)), np.max(np.abs(s.V)), np.max(np.abs(s.u)))
+
+
+def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
+           t_end: float, save_every: int | None = None,
+           metadata: Sequence[dict] | None = None) -> list[ExperimentRecord]:
+    """Run the system from each initial state and record diagnostics
+    against `wave`; returns one record per state, in order.
+
+    The members share the wave, grid, dt, t_end and start time, and step
+    together as one (3, B, N) spectral state, so a member's record is
+    bitwise the one it gets in a batch of one.  `metadata[i]` seeds the
+    metadata of record i.  Blow-up is judged per member, against that
+    member's initial sup norm, and names the member.
+    """
     c, omega, nu = _wave_scalars(wave)
     ev = Evolver(grid, dt)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise DomainError(f"t_end={t_end} must be finite and non-negative")
+    n_members = len(states0)
+    metadata = [{}] * n_members if metadata is None else list(metadata)
+    if n_members == 0:
+        raise DomainError("evolve needs at least one initial state")
+    if len(metadata) != n_members:
+        raise DomainError(f"{len(metadata)} metadata dicts for {n_members} initial states")
+    t0 = states0[0].t
+    if any(s.t != t0 for s in states0):
+        raise DomainError("batch members must start at the same time")
     n_steps = int(round(t_end / dt))
     if save_every is None:
         save_every = max(1, n_steps // 200)
-    spec = ev.to_spectral(state0)
-    sup0 = max(np.max(np.abs(state0.v)), np.max(np.abs(state0.V)),
-               np.max(np.abs(state0.u)), 1e-30)
+    spec = ev.to_spectral(FieldState(t0, np.stack([s.v for s in states0]),
+                                     np.stack([s.V for s in states0]),
+                                     np.stack([s.u for s in states0])))
+    sup0 = [max(_sup(s), 1e-30) for s in states0]
 
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
     psi_ref, vphi_ref = ref.v, ref.V
 
-    series: dict[str, list] = {name: [] for name in _SERIES}
+    series = [{name: [] for name in _SERIES} for _ in range(n_members)]
 
-    def record(s):
+    def members(batch):
+        return [FieldState(batch.t, batch.v[i], batch.V[i], batch.u[i])
+                for i in range(n_members)]
+
+    def record(s, out):
         inv = invariants(s, grid)
         rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t)
         dv, _ = shift_distance(s.v, psi_ref, grid)
@@ -440,30 +476,31 @@ def evolve(state0: FieldState, wave, grid: GridSpec, dt: float, t_end: float,
                distance_at_shift(s.V, vphi_ref, ys, grid),
                q1p.real, q1p.imag)
         for name, val in zip(_SERIES, row):
-            series[name].append(val)
+            out[name].append(val)
 
-    record(ev.to_physical(spec, state0.t))
+    for s, out in zip(members(ev.to_physical(spec, t0)), series):
+        record(s, out)
     for step in range(1, n_steps + 1):
         spec = ev.step(spec)
-        t = state0.t + step * dt
-        if step % 50 == 0 and not np.all(np.isfinite(spec[2])):
-            raise BlowUpError(t)
+        t = t0 + step * dt
+        if step % 50 == 0:
+            finite = np.all(np.isfinite(spec[2]), axis=-1)
+            if not np.all(finite):
+                raise BlowUpError(t, member=int(np.argmin(finite)))
         if step % save_every == 0 or step == n_steps:
-            s = ev.to_physical(spec, t)
-            sup = max(np.max(np.abs(s.v)), np.max(np.abs(s.V)), np.max(np.abs(s.u)))
-            if not np.isfinite(sup) or sup > 1e6 * sup0:
-                raise BlowUpError(t)
-            record(s)
+            saved = members(ev.to_physical(spec, t))
+            for i, s in enumerate(saved):
+                sup = _sup(s)
+                if not np.isfinite(sup) or sup > 1e6 * sup0[i]:
+                    raise BlowUpError(t, member=i)
+            for s, out in zip(saved, series):
+                record(s, out)
 
-    meta = dict(metadata or {})
-    meta.update({
-        "L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
-        "c": c, "omega": omega, "nu": nu, "B_wave": b_wave,
-    })
-    return ExperimentRecord(
-        metadata=meta,
-        **{name: np.array(vals) for name, vals in series.items()},
-    )
+    common = {"L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
+              "c": c, "omega": omega, "nu": nu, "B_wave": b_wave}
+    return [ExperimentRecord(metadata={**meta, **common},
+                             **{name: np.array(vals) for name, vals in out.items()})
+            for meta, out in zip(metadata, series)]
 
 
 def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,
@@ -497,21 +534,30 @@ def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,
     return FieldState(t=0.0, v=base.v + pert_v, V=base.V + pert_V, u=u0)
 
 
-def stability_experiment(w: DnoidalWave, delta: float, t_end: float,
+def stability_experiment(w: DnoidalWave, delta: float | Sequence[float], t_end: float,
                          dt: float | None = None, seed: int = 0,
                          respect_mean_condition: bool = True,
                          N: int = 256, renormalize_q2: bool = False,
-                         save_every: int | None = None) -> ExperimentRecord:
-    """Seeded perturbed evolution around a dnoidal wave."""
+                         save_every: int | None = None
+                         ) -> ExperimentRecord | list[ExperimentRecord]:
+    """Seeded perturbed evolution around a dnoidal wave.
+
+    A float `delta` gives one ExperimentRecord.  A sequence of deltas gives
+    a list with one record per delta, in order, from one batched `evolve`;
+    each record equals the one a float call with that delta returns.
+    """
     grid = GridSpec(L=w.params.L, N=N)
     if dt is None:
         dt = default_dt(w.params.L)
-    state0 = _perturbed_initial_state(w, grid, delta, seed,
-                                      respect_mean_condition, renormalize_q2)
-    meta = {"kind": "dnoidal", "delta": delta, "seed": seed,
-            "respect_mean_condition": respect_mean_condition,
-            "wave": {"L": w.params.L, "c": w.params.c, "nu": w.params.nu}}
-    return evolve(state0, w, grid, dt, t_end, save_every=save_every, metadata=meta)
+    deltas = [delta] if np.ndim(delta) == 0 else list(delta)
+    states0 = [_perturbed_initial_state(w, grid, d, seed, respect_mean_condition,
+                                        renormalize_q2) for d in deltas]
+    metas = [{"kind": "dnoidal", "delta": d, "seed": seed,
+              "respect_mean_condition": respect_mean_condition,
+              "wave": {"L": w.params.L, "c": w.params.c, "nu": w.params.nu}}
+             for d in deltas]
+    records = evolve(states0, w, grid, dt, t_end, save_every=save_every, metadata=metas)
+    return records[0] if np.ndim(delta) == 0 else records
 
 
 def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
@@ -531,4 +577,5 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                                       renormalize_q2=False)
     meta = {"kind": "solitary", "delta": delta, "seed": seed,
             "box_factor": box_factor, "wave": {"omega": omega, "c": c}}
-    return evolve(state0, sw, grid, dt, t_end, save_every=save_every, metadata=meta)
+    return evolve([state0], sw, grid, dt, t_end, save_every=save_every,
+                  metadata=[meta])[0]

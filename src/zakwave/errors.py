@@ -16,6 +16,7 @@ class AccuracyError(RuntimeError):
 class BlowUpError(RuntimeError):
     """A time integration left the bounded regime."""
 
-    def __init__(self, t: float, message: str = ""):
+    def __init__(self, t: float, member: int = 0):
         self.t = t
-        super().__init__(message or f"field blow-up detected at t={t:.6g}")
+        self.member = member
+        super().__init__(f"field blow-up detected at t={t:.6g} in member {member}")

@@ -47,20 +47,25 @@ def exact_run(wave_std, grid_std):
     """Exact traveling wave evolved over [0, 5] at dt=1e-4 with the paper-form
     momentum tracked alongside the conserved form."""
     state0 = wave_state(wave_std, grid_std)
-    return evolve(state0, wave_std, grid_std, dt=1e-4, t_end=5.0,
-                  save_every=250)
+    return evolve([state0], wave_std, grid_std, dt=1e-4, t_end=5.0,
+                  save_every=250)[0]
 
 
 @pytest.fixture(scope="session")
-def pert_run_small(wave_std):
-    return stability_experiment(wave_std, delta=1e-3, t_end=5.0, seed=11,
+def pert_runs(wave_std):
+    """The delta = 1e-3 and 1e-2 runs of seed 11, stepped as one batch."""
+    return stability_experiment(wave_std, delta=[1e-3, 1e-2], t_end=5.0, seed=11,
                                 respect_mean_condition=True, N=256)
 
 
 @pytest.fixture(scope="session")
-def pert_run_large(wave_std):
-    return stability_experiment(wave_std, delta=1e-2, t_end=5.0, seed=11,
-                                respect_mean_condition=True, N=256)
+def pert_run_small(pert_runs):
+    return pert_runs[0]
+
+
+@pytest.fixture(scope="session")
+def pert_run_large(pert_runs):
+    return pert_runs[1]
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,7 @@ def test_bad_time_step_or_end_time_is_domain_error(capsys):
     }
     for command, flags in runs.items():
         for bad in (("--dt", "0"), ("--dt", "nan"), ("--dt=-1e-3",),
-                    ("--t-end", "-1"), ("--t-end", "inf")):
+                    ("--dt", "-1e-3"), ("--t-end", "-1"), ("--t-end", "inf")):
             code, _, err = run(capsys, command, *flags, *bad)
             assert code == 2, (command, bad)
             assert "domain error" in err
@@ -157,6 +157,17 @@ def test_solitary_writes_series_header(tmp_path, capsys):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == "t,E,Q1,Q2,B,rho_nu,y_star,theta_star,dist_v,dist_V"
+
+
+def test_exponent_form_negative_is_a_value(tmp_path, capsys):
+    outs = []
+    for omega in ("-1", "-1e0", "-1.0E+0", "-.1e1"):
+        outs.append(tmp_path / f"sol{len(outs)}.csv")
+        code, _, err = run(capsys, "solitary", "--omega", omega, "--c", "0.5",
+                           "--delta", "1e-3", "--seed", "1", "--t-end", "0.02",
+                           "--out", str(outs[-1]))
+        assert code == 0, (omega, err)
+    assert all(filecmp.cmp(outs[0], out, shallow=False) for out in outs[1:])
 
 
 def test_sweep_writes_family_table(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Evolution, conserved quantities, and the modulated-distance machinery."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zakwave.dynamics import (
     Evolver,
+    ExperimentRecord,
     FieldState,
     GridSpec,
     band_limited_perturbation,
@@ -34,6 +36,12 @@ def _zero_state(grid):
                       u=np.zeros(grid.N, dtype=complex))
 
 
+def _single(ev, spec, t):
+    """The physical state of a batch of one, with (N,) fields."""
+    s = ev.to_physical(spec, t)
+    return FieldState(s.t, s.v[0], s.V[0], s.u[0])
+
+
 def _rhs(s, grid):
     """Physical-space view of the full right-hand side at s: the spectral
     right-hand side plus the -i k^2 uhat term the step transports exactly."""
@@ -41,7 +49,7 @@ def _rhs(s, grid):
     spec = ev.to_spectral(s)
     d = ev.rhs_spectral(spec)
     d[2] -= 1j * ev.k2 * spec[2]
-    return ev.to_physical(d, s.t)
+    return _single(ev, d, s.t)
 
 
 def _advance(s, dt, grid, n):
@@ -50,7 +58,7 @@ def _advance(s, dt, grid, n):
     spec = ev.to_spectral(s)
     for _ in range(n):
         spec = ev.step(spec)
-    return ev.to_physical(spec, s.t + n * dt)
+    return _single(ev, spec, s.t + n * dt)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +137,42 @@ def test_step_raises_on_nonfinite(wave_c0):
     s = _zero_state(grid)
     s.v[3] = math.nan
     with pytest.raises(BlowUpError):
-        evolve(s, wave_c0, grid, dt=1e-4, t_end=1e-4)
+        evolve([s], wave_c0, grid, dt=1e-4, t_end=1e-4)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_batched_step_is_bitwise_the_single_step(wave_std, N):
+    grid = GridSpec(L=wave_std.params.L, N=N)
+    ev = Evolver(grid, dt=1e-3)
+    singles = [ev.to_spectral(wave_state(wave_std, grid, t=0.3 * i)) for i in range(3)]
+    assert singles[0].shape == (3, 1, N)
+    batch = np.concatenate(singles, axis=1)
+    for _ in range(5):
+        singles = [ev.step(spec) for spec in singles]
+        batch = ev.step(batch)
+    assert np.array_equal(batch, np.concatenate(singles, axis=1))
+
+
+@pytest.mark.parametrize("save_every, fail_step", [(1, 1), (1000, 50)])
+def test_blow_up_in_a_batch_names_the_member(wave_c0, save_every, fail_step):
+    # save_every=1 trips the save-time sup check at step 1; with no save
+    # before step 60 the every-50-steps finite check trips first
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    states = [wave_state(wave_c0, grid) for _ in range(3)]
+    states[1].u[5] = math.nan
+    dt = 1e-4
+    with pytest.raises(BlowUpError, match="in member 1") as exc:
+        evolve(states, wave_c0, grid, dt=dt, t_end=60 * dt, save_every=save_every)
+    assert exc.value.member == 1
+    assert exc.value.t == pytest.approx(fail_step * dt)
+
+
+def test_evolve_rejects_malformed_batches(wave_c0):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    s0, s1 = wave_state(wave_c0, grid), wave_state(wave_c0, grid, t=0.5)
+    for states, meta in (([], None), ([s0, s0], [{}]), ([s0, s1], None)):
+        with pytest.raises(DomainError):
+            evolve(states, wave_c0, grid, dt=1e-3, t_end=1e-3, metadata=meta)
 
 
 def test_grid_rejects_odd_or_tiny_N():
@@ -165,8 +208,8 @@ def test_conservation_drift_shrinks_with_dt(wave_std, grid_std):
     s0 = _strongly_perturbed(wave_std, grid_std)
 
     def drift(dt, T=0.2):
-        rec = evolve(s0, wave_std, grid_std, dt=dt, t_end=T,
-                     save_every=int(round(T / dt)))
+        rec, = evolve([s0], wave_std, grid_std, dt=dt, t_end=T,
+                      save_every=int(round(T / dt)))
         return relative_drift(rec.E) + relative_drift(rec.Q2)
 
     assert drift(4e-3) >= 8.0 * drift(2e-3)
@@ -405,6 +448,37 @@ def test_experiment_determinism(wave_std):
     b = stability_experiment(wave_std, delta=1e-3, t_end=0.05, seed=3, N=128)
     assert np.array_equal(a.rho_nu, b.rho_nu)
     assert np.array_equal(a.E, b.E)
+
+
+_BATCH_DELTAS = (0.0, 1e-3, 3e-3, 1e-2, 3e-2)
+
+
+@pytest.fixture(scope="session")
+def scalar_runs():
+    """Float-delta stability runs, keyed by (N, seed, delta)."""
+    return {}
+
+
+@settings(max_examples=20, deadline=None)
+@given(N=st.sampled_from((64, 96, 128)), seed=st.integers(0, 2),
+       deltas=st.lists(st.sampled_from(_BATCH_DELTAS), min_size=1, max_size=5))
+@example(N=128, seed=0, deltas=[1e-3, 1e-2])
+def test_batching_leaves_every_record_unchanged(wave_std, scalar_runs, N, seed, deltas):
+    # a sequence of deltas gives, in any size and order, the records of
+    # float-delta calls, series for series and bit for bit
+    def run(delta):
+        return stability_experiment(wave_std, delta=delta, t_end=0.05, seed=seed, N=N)
+
+    batch = run(deltas)
+    assert len(batch) == len(deltas)
+    for delta, rec in zip(deltas, batch):
+        key = (N, seed, delta)
+        if key not in scalar_runs:
+            scalar_runs[key] = run(delta)
+        ref = scalar_runs[key]
+        assert rec.metadata == ref.metadata
+        for f in fields(ExperimentRecord)[1:]:
+            assert np.array_equal(getattr(rec, f.name), getattr(ref, f.name)), f.name
 
 
 def test_record_serialization(tmp_path, wave_std):
