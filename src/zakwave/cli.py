@@ -377,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wave_flags(sp, with_wave_file=True)
     sp.add_argument("--operator", choices=("L3", "L4", "lame"), default="L3")
     sp.add_argument("--modes", type=int, default=8)
-    sp.add_argument("--N", type=int, default=512)
+    sp.add_argument("--N", type=int, default=512,
+                    help="grid points for L3 and L4; for lame, the number of "
+                         "potential samples (band edges from N/8 Fourier modes, "
+                         "checked at N/4 on 2N samples)")
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 

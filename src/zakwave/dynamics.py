@@ -269,34 +269,45 @@ def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec):
     return m * dx, (m + delta) * dx, y
 
 
-def _orbit_modes(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float):
-    """Stacked modes a = (w', sqrt(nu) w) of the gauged field and
-    b = (phi', sqrt(nu) phi) of the profile, and the product g = sum a conj(b)
-    with G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>.
+def _profile_modes(wave, nu: float, grid: GridSpec) -> np.ndarray:
+    """Stacked modes b = (phi', sqrt(nu) phi) of the profile, sampled on the
+    coordinate wrapped to [-L/2, L/2), so non-periodic solitary tails are
+    centered rather than truncated."""
+    xi = _wrapped(grid)
+    return np.stack((_modes(wave.phi_prime(xi), grid),
+                     math.sqrt(nu) * _modes(wave.phi(xi), grid)))
 
-    The profile is sampled on the coordinate wrapped to [-L/2, L/2), so
-    non-periodic solitary tails are centered rather than truncated."""
+
+def _orbit_modes(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float,
+                 b: np.ndarray | None = None):
+    """Stacked modes a = (w', sqrt(nu) w) of the gauged field and
+    b = (phi', sqrt(nu) phi) of the profile (computed unless given), and
+    the product g = sum a conj(b) with
+    G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
     c, _, _ = _wave_scalars(wave)
     # the gauge's phase seam tracks the antipode of x = c t instead of
     # cutting through the profile; for carrier-periodic waves (c L multiple
     # of 4 pi) the wrap changes nothing
     w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
-    xi = _wrapped(grid)
-    r = math.sqrt(nu)
-    a = np.stack((1j * grid.k * w, r * w))
-    b = np.stack((_modes(wave.phi_prime(xi), grid), r * _modes(wave.phi(xi), grid)))
+    a = np.stack((1j * grid.k * w, math.sqrt(nu) * w))
+    if b is None:
+        b = _profile_modes(wave, nu, grid)
     return a, b, np.sum(a * np.conj(b), axis=0)
 
 
-def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0):
+def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0,
+                     *, profile_modes: np.ndarray | None = None):
     """nu-weighted modulated distance of u to the wave orbit.
 
     Applies the traveling gauge, correlates the Fourier modes of field and
     profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
     and refines the best shift to sub-grid accuracy (parabolic vertex, then
-    Newton).  Returns (rho, y_star, theta_star).
+    Newton).  Returns (rho, y_star, theta_star).  `profile_modes`, if given,
+    holds the stacked Parseval modes (phi', sqrt(nu) phi) of the profile,
+    so a caller that measures many fields against one wave samples and
+    transforms the profile once.
     """
-    a, b, g = _orbit_modes(u, wave, nu, grid, t)
+    a, b, g = _orbit_modes(u, wave, nu, grid, t, profile_modes)
     k = grid.k
     best = None
     for y in _best_shift(g, k, grid):
@@ -322,9 +333,12 @@ def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
     return float(d_y), float(d_theta)
 
 
-def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
-    """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples."""
-    fm, gm = _modes(f, grid), _modes(g, grid)
+def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec, *,
+                   g_modes: np.ndarray | None = None):
+    """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples;
+    `g_modes`, if given, is `_modes(g, grid)` computed once by the caller."""
+    fm = _modes(f, grid)
+    gm = _modes(g, grid) if g_modes is None else g_modes
     k = grid.k
     corr = fm * np.conj(gm)
     # the real correlation C(y) is at least -||f|| ||g||, so after this
@@ -335,9 +349,11 @@ def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     return math.sqrt(best[0]), best[1]
 
 
-def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
-    return math.sqrt(_distance_sq(_modes(f, grid), _modes(g, grid),
-                                  np.exp(1j * grid.k * y)))
+def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec, *,
+                      g_modes: np.ndarray | None = None) -> float:
+    """||f(.+y) - g||_L2; `g_modes` as in `shift_distance`."""
+    gm = _modes(g, grid) if g_modes is None else g_modes
+    return math.sqrt(_distance_sq(_modes(f, grid), gm, np.exp(1j * grid.k * y)))
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +472,10 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
 
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
+    # reference modes, transformed once for every save of every member
     psi_ref, vphi_ref = ref.v, ref.V
+    psi_m, vphi_m = _modes(psi_ref, grid), _modes(vphi_ref, grid)
+    profile_m = _profile_modes(wave, nu, grid)
 
     series = [{name: [] for name in _SERIES} for _ in range(n_members)]
 
@@ -466,14 +485,15 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
 
     def record(s, out):
         inv = invariants(s, grid)
-        rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t)
-        dv, _ = shift_distance(s.v, psi_ref, grid)
-        dV, _ = shift_distance(s.V, vphi_ref, grid)
+        rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t,
+                                       profile_modes=profile_m)
+        dv, _ = shift_distance(s.v, psi_ref, grid, g_modes=psi_m)
+        dV, _ = shift_distance(s.V, vphi_ref, grid, g_modes=vphi_m)
         q1p = q1_paper_form(s, grid)
         row = (s.t, inv.E, inv.Q1, inv.Q2, inv.E - c * inv.Q1 - omega * inv.Q2,
                rho, ys, th, dv, dV,
-               distance_at_shift(s.v, psi_ref, ys, grid),
-               distance_at_shift(s.V, vphi_ref, ys, grid),
+               distance_at_shift(s.v, psi_ref, ys, grid, g_modes=psi_m),
+               distance_at_shift(s.V, vphi_ref, ys, grid, g_modes=vphi_m),
                q1p.real, q1p.imag)
         for name, val in zip(_SERIES, row):
             out[name].append(val)

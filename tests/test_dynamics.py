@@ -14,6 +14,7 @@ from zakwave.dynamics import (
     FieldState,
     GridSpec,
     band_limited_perturbation,
+    distance_at_shift,
     evolve,
     functional_B,
     invariants,
@@ -448,6 +449,27 @@ def test_experiment_determinism(wave_std):
     b = stability_experiment(wave_std, delta=1e-3, t_end=0.05, seed=3, N=128)
     assert np.array_equal(a.rho_nu, b.rho_nu)
     assert np.array_equal(a.E, b.E)
+
+
+def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std):
+    # evolve transforms the reference fields and the profile once per run;
+    # every save must still read what the direct calls give on that state
+    rng = np.random.default_rng(4)
+    base = wave_state(wave_std, grid_std)
+    s0 = FieldState(0.0, base.v + 1e-2 * band_limited_perturbation(rng, grid_std, 8),
+                    base.V + 1e-2 * band_limited_perturbation(rng, grid_std, 8, zero_mean=True),
+                    base.u + 1e-2 * band_limited_perturbation(rng, grid_std, 8,
+                                                              complex_field=True))
+    dt, n = 1e-3, 3
+    rec = evolve([s0], wave_std, grid_std, dt, n * dt, save_every=n)[0]
+    nu = wave_std.params.nu
+    for row, s in ((0, _advance(s0, dt, grid_std, 0)), (1, _advance(s0, dt, grid_std, n))):
+        rho, y, th = orbital_distance(s.u, wave_std, nu, grid_std, t=s.t)
+        assert (rec.rho_nu[row], rec.y_star[row], rec.theta_star[row]) == (rho, y, th)
+        assert rec.dist_v[row] == shift_distance(s.v, base.v, grid_std)[0]
+        assert rec.dist_V[row] == shift_distance(s.V, base.V, grid_std)[0]
+        assert rec.dist_v_at_ystar[row] == distance_at_shift(s.v, base.v, y, grid_std)
+        assert rec.dist_V_at_ystar[row] == distance_at_shift(s.V, base.V, y, grid_std)
 
 
 _BATCH_DELTAS = (0.0, 1e-3, 3e-3, 1e-2, 3e-2)

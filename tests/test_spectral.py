@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zakwave import spectral
 from zakwave.elliptic import Modulus, complete_K, jacobi_sn_cn_dn
-from zakwave.errors import DomainError
+from zakwave.errors import AccuracyError, DomainError
 from zakwave.spectral import (
     assemble,
     constrained_rayleigh_min,
@@ -89,16 +90,30 @@ def test_spectrum_rejects_mode_counts_outside_one_to_N():
     assert periodic_spectrum(op, 32).eigenvectors.shape == (32, 32)
 
 
-def _basis_round_trip(op, boundary):
-    """B M B^H with M the mode-space matrix and B the explicit unitary map
-    from Bloch modes exp(i kappa_n x) to grid samples."""
+def _kappa(op, boundary):
+    """Bloch wavenumbers of all N mode integers n, in fft order."""
     n = np.fft.fftfreq(op.N, d=1.0 / op.N)
     if boundary == "periodic":
-        kappa = 2.0 * math.pi * n / op.L
-    else:
-        kappa = math.pi * (2.0 * n + 1.0) / op.L
-    basis = np.exp(1j * np.outer(_grid(op.L, op.N), kappa)) / math.sqrt(op.N)
-    return basis @ op.fourier_matrix(boundary) @ basis.conj().T
+        return 2.0 * math.pi * n / op.L
+    return math.pi * (2.0 * n + 1.0) / op.L
+
+
+def _full_fourier_matrix(op, boundary):
+    """Galerkin matrix on all N Bloch modes in fft order: entry (n, m) is
+    Vhat[(n - m) mod N] with Vhat = fft(V) / N, plus kappa_n^2 + shift on
+    the diagonal."""
+    n = np.arange(op.N)
+    vhat = np.fft.fft(op.potential) / op.N
+    mat = vhat[(n[:, None] - n[None, :]) % op.N]
+    mat[np.diag_indices(op.N)] += _kappa(op, boundary) ** 2 + op.shift
+    return mat
+
+
+def _basis_round_trip(op, boundary):
+    """B F B^H with F the full mode-space matrix and B the explicit unitary
+    map from Bloch modes exp(i kappa_n x) to grid samples."""
+    basis = np.exp(1j * np.outer(_grid(op.L, op.N), _kappa(op, boundary))) / math.sqrt(op.N)
+    return basis @ _full_fourier_matrix(op, boundary) @ basis.conj().T
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,12 +136,35 @@ def test_grid_matrix_equals_basis_round_trip(L, shift, N, coeffs):
 
 @pytest.mark.parametrize("boundary", ["periodic", "semiperiodic"])
 def test_lame_grid_spectrum_matches_mode_space_at_N1024(boundary, wave_std):
+    # the full N-mode matrix and its truncation to M = N/8 modes both carry
+    # the lowest 24 eigenvalues to the grid's rounding
     for m in (Modulus.from_k(0.5), wave_std.modulus):
         op = lame_operator(m, 1024)
         G = op.grid_matrix(boundary)
         lam_grid = np.linalg.eigvalsh(G)[:24]
-        lam_mode = np.linalg.eigvalsh(op.fourier_matrix(boundary))[:24]
-        assert np.max(np.abs(lam_grid - lam_mode)) <= 1e-13 * np.max(np.abs(G))
+        for F in (_full_fourier_matrix(op, boundary), op.fourier_matrix(boundary, 1024 // 8)):
+            lam_mode = np.linalg.eigvalsh(F)[:24]
+            assert np.max(np.abs(lam_grid - lam_mode)) <= 1e-13 * np.max(np.abs(G))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "semiperiodic"])
+def test_fourier_matrix_is_the_full_matrix_on_modes_minus_M_to_M(boundary, wave_std):
+    op = hill_L3(wave_std, 256)
+    M = 40
+    F = op.fourier_matrix(boundary, M)
+    assert F.shape == (2 * M + 1, 2 * M + 1)
+    assert np.array_equal(F, F.conj().T)
+    modes = np.arange(-M, M + 1) % op.N
+    ref = _full_fourier_matrix(op, boundary)[np.ix_(modes, modes)]
+    assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(F))
+
+
+def test_fourier_matrix_rejects_aliasing_mode_counts():
+    op = assemble(5.0, 0.0, np.zeros(64), 64)
+    for M in (0, -1, 16, 40):
+        with pytest.raises(DomainError):
+            op.fourier_matrix("periodic", M)
+    assert op.fourier_matrix("periodic", 15).shape == (31, 31)
 
 
 # --------------------------------------------------------------------------
@@ -254,6 +292,52 @@ def test_instability_intervals_collapse_at_small_k():
 def test_instability_intervals_resolution_guard():
     with pytest.raises(DomainError):
         instability_intervals(Modulus.from_k(0.5), N=128)
+
+
+def test_instability_intervals_gap_count_guard():
+    # the band edges read must stay within the lowest M = N/8 of 2M + 1 modes
+    with pytest.raises(DomainError):
+        instability_intervals(Modulus.from_k(0.5), n_gaps=31, N=512)
+    assert len(instability_intervals(Modulus.from_k(0.5), n_gaps=31, N=1024)) == 31
+
+
+# the benchmark's band-edge tolerance against lame_eigen_analytic
+LAME_EDGE_TOL = 1e-8
+MODULI = [1e-5, 0.3, 0.5, 0.8, 1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("k", MODULI)
+def test_instability_intervals_edges_match_analytic(k):
+    m = Modulus.from_k(k)
+    intervals = instability_intervals(m, n_gaps=10)
+    # (-inf, lambda0), (mu0, mu1), (lambda1, lambda2): rho0, rho1, rho2
+    edges = (intervals[0][1], intervals[2][0], intervals[2][1])
+    for got, exact in zip(edges, lame_eigen_analytic(m)):
+        assert abs(got - exact) <= LAME_EDGE_TOL
+
+
+@pytest.mark.parametrize("k", [k for k in MODULI if k >= 0.3])
+def test_instability_intervals_two_gaps_across_modulus(k):
+    widths = [hi - lo for lo, hi in instability_intervals(Modulus.from_k(k), n_gaps=10)[1:]]
+    assert sum(w > 1e-4 for w in widths) == 2
+    assert widths[0] > 1e-4 and widths[1] > 1e-4
+    assert all(w <= 1e-6 for w in widths[2:])
+
+
+def test_instability_intervals_raises_when_M_doubling_disagrees(monkeypatch):
+    # a harmonic at 130 > 2M = 128 is invisible to the M = 64 matrix but
+    # not to the M = 128 one, so the two gap widths part
+    lame = spectral.lame_operator
+
+    def unresolved(m, N=512):
+        op = lame(m, N)
+        xs = _grid(op.L, N)
+        return assemble(op.L, op.shift,
+                        op.potential + 100.0 * np.cos(2.0 * math.pi * 130 * xs / op.L), N)
+
+    monkeypatch.setattr(spectral, "lame_operator", unresolved)
+    with pytest.raises(AccuracyError):
+        instability_intervals(Modulus.from_k(0.5), n_gaps=10)
 
 
 def test_lambda_from_rho_anchors(wave_std):

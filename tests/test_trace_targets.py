@@ -1,7 +1,8 @@
 """The traced benchmark run wraps zakwave names from outside; these checks
 fail when one of those names is deleted or renamed, when a step stops
-doing the 16 transforms the benchmark's self-test expects, or when the
-modulated-distance search transforms shifted fields again."""
+doing the 16 transforms the benchmark's self-test expects, when the
+modulated-distance search transforms shifted fields again, or when the
+save points transform the fixed reference fields again."""
 
 import os
 import sys
@@ -62,3 +63,17 @@ def test_traced_orbital_distance_does_at_most_four_transforms(tracer, wave_std, 
     inside = tracer.names[first:]
     assert inside[0] == "dynamics.orbital_distance"
     assert inside.count("fft") <= 4
+
+
+def test_traced_evolve_transforms_reference_fields_once(tracer, wave_std, grid_std):
+    # psi, varphi and the profile modes (phi', sqrt(nu) phi) are computed
+    # once per run: a save transforms only the saved fields, so neither the
+    # transforms per save nor the profile samplings grow with the saves
+    s0 = wave_state(wave_std, grid_std)
+    profiles = []
+    for save_every in (1, 4):
+        first = len(tracer.names)
+        dynamics.evolve([s0], wave_std, grid_std, 1e-3, 8e-3, save_every=save_every)
+        profiles.append(tracer.names[first:].count("wavefamily.profile"))
+    assert profiles[0] == profiles[1]
+    assert spans.layer_metrics(tracer)["dynamics.fft.per_save"] <= 15
