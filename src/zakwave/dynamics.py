@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,24 +57,35 @@ class GridSpec:
         if self.N % 2 != 0 or self.N < 64:
             raise DomainError(f"grid N={self.N} must be even and >= 64")
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.arange(self.N) * self.L / self.N
+    # grid arrays are computed on first use and shared read-only
 
-    @property
+    @cached_property
+    def xs(self) -> np.ndarray:
+        return _read_only(np.arange(self.N) * self.L / self.N)
+
+    @cached_property
     def k(self) -> np.ndarray:
         """Spectral wavenumbers in fft ordering."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.N, d=1.0 / self.N) / self.L
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.N, d=1.0 / self.N) / self.L)
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         n = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
-        return n <= self.N / 3.0
+        return _read_only(n <= self.N / 3.0)
 
-    def integrate(self, f) -> float | complex:
-        """Spectral quadrature, exact for trigonometric polynomials."""
-        total = np.sum(f) * self.L / self.N
+    def integrate(self, f):
+        """Spectral quadrature over the last axis, exact for trigonometric
+        polynomials: a float or complex for (N,) samples, an array of one
+        value per row for (B, N) samples."""
+        total = np.sum(f, axis=-1) * self.L / self.N
+        if np.ndim(total):
+            return total
         return complex(total) if np.iscomplexobj(f) else float(total)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -91,9 +103,11 @@ class FieldState:
 
 @dataclass(frozen=True)
 class ZakInvariants:
-    E: float
-    Q1: float
-    Q2: float
+    """E, Q1, Q2: floats for one state, (B,) arrays for a batch."""
+
+    E: float | np.ndarray
+    Q1: float | np.ndarray
+    Q2: float | np.ndarray
 
 
 def _wave_scalars(wave):
@@ -135,12 +149,13 @@ class Evolver:
     The spectral state is one complex (3, B, N) array stacking (vhat, Vhat,
     uhat) for a batch of B members.  `to_spectral` reads a FieldState with
     (N,) fields as a batch of one and one with (B, N) fields as a batch of
-    B; `to_physical` returns (B, N) fields.  Every transform and product
-    acts along the last axis, so each member steps exactly as it would
-    alone.  The per-wavenumber arrays carry a unit member axis, which a
-    batch of one matches without broadcasting.  The linear -i k^2 uhat
-    term is left out of the right-hand side and transported exactly by the
-    Lawson factors E_half and E_full.
+    B; `to_physical` returns (B, N) fields, which the save-point
+    diagnostics take as they are.  Every transform and product acts along
+    the last axis, so each member steps exactly as it would alone.  The
+    per-wavenumber arrays carry a unit member axis, which a batch of one
+    matches without broadcasting.  The linear -i k^2 uhat term is left out
+    of the right-hand side and transported exactly by the Lawson factors
+    E_half and E_full.
     """
 
     def __init__(self, grid: GridSpec, dt: float):
@@ -192,23 +207,37 @@ class Evolver:
 
 # --------------------------------------------------------------------------
 # conserved quantities
+#
+# The save-point diagnostics take fields of shape (N,) or (B, N): every
+# transform, product and quadrature acts along the last axis, so row i of
+# a batched result is bitwise what the (N,) call on member i returns.
 
-def invariants(s: FieldState, grid: GridSpec) -> ZakInvariants:
-    """E, Q1 (vV form), Q2 by spectral quadrature."""
-    ux = np.fft.ifft(1j * grid.k * np.fft.fft(s.u))
+def _derivative(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Spectral x-derivative along the last axis."""
+    return np.fft.ifft(1j * grid.k * np.fft.fft(f))
+
+
+def invariants(s: FieldState, grid: GridSpec, *,
+               ux: np.ndarray | None = None) -> ZakInvariants:
+    """E, Q1 (vV form), Q2 by spectral quadrature; `ux`, if given, is
+    `_derivative(s.u, grid)` computed once by the caller."""
+    if ux is None:
+        ux = _derivative(s.u, grid)
     e = 0.5 * grid.integrate(
         2.0 * np.abs(ux) ** 2 + s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2
     )
     q1 = grid.integrate(s.v * s.V + (ux * np.conj(s.u)).imag)
     q2 = grid.integrate(np.abs(s.u) ** 2)
-    return ZakInvariants(E=float(e), Q1=float(q1), Q2=float(q2))
+    return ZakInvariants(E=e, Q1=q1, Q2=q2)
 
 
-def q1_paper_form(s: FieldState, grid: GridSpec) -> complex:
+def q1_paper_form(s: FieldState, grid: GridSpec, *, ux: np.ndarray | None = None):
     """The momentum functional with the u V integrand as printed in the
     source formula; complex-valued for generic u and not conserved
-    (diagnostic only, see the vV form in `invariants`)."""
-    ux = np.fft.ifft(1j * grid.k * np.fft.fft(s.u))
+    (diagnostic only, see the vV form in `invariants`).  `ux` as in
+    `invariants`."""
+    if ux is None:
+        ux = _derivative(s.u, grid)
     return grid.integrate(s.u * s.V + (ux * np.conj(s.u)).imag)
 
 
@@ -228,45 +257,78 @@ def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
 
 
-def _distance_sq(fm: np.ndarray, gm: np.ndarray, phase: np.ndarray) -> float:
+def _distance_sq(fm: np.ndarray, gm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """||f(.+y) - g||^2 = sum |phase f_n - g_n|^2 with phase = e^{i k_n y}
-    (times any constant phase), summed over stacked rows as well."""
-    return float(np.sum(np.abs(phase * fm - gm) ** 2))
+    (times any constant phase).  The last two axes of the broadcast
+    product hold one member's stacked rows, summed as one flat row."""
+    d = np.abs(phase * fm - gm) ** 2
+    return np.sum(d.reshape(d.shape[:-2] + (-1,)), axis=-1)
 
 
 def _peak(f: np.ndarray):
-    """Index m of the largest sample of periodic f and the sub-grid offset
-    of the parabola through f[m-1], f[m], f[m+1], clipped to [-1/2, 1/2]."""
-    m = int(np.argmax(f))
-    fm1, f0, fp1 = f[m - 1], f[m], f[(m + 1) % f.size]
+    """Per row of the (B, N) periodic samples f: the index m of the largest
+    sample and the sub-grid offset of the parabola through f[m-1], f[m],
+    f[m+1], clipped to [-1/2, 1/2]."""
+    m = f.argmax(axis=-1)
+    rows = np.arange(len(f))[:, None]
+    fm1, f0, fp1 = f[rows, (m[:, None] + (-1, 0, 1)) % f.shape[-1]].T
     denom = fm1 - 2.0 * f0 + fp1
-    delta = 0.5 * (fm1 - fp1) / denom if denom != 0.0 else 0.0
-    return m, float(np.clip(delta, -0.5, 0.5))
+    delta = np.divide(0.5 * (fm1 - fp1), denom, out=np.zeros_like(denom),
+                      where=denom != 0.0)
+    return m, delta.clip(-0.5, 0.5)
 
 
 def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec):
-    """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}: the best
-    grid shift, the parabolic vertex through its neighbours, and Newton on
-    |C|^2 started from the vertex."""
+    """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}, for each
+    row of the (B, N) array g: the best grid shift, the parabolic vertex
+    through its neighbours, and Newton on |C|^2 started from the vertex.
+    Returns the (3, B) shifts and their (3, B, N) phases e^{i k y}.
+
+    Newton runs on every row at once; a row leaves the iteration where a
+    lone run would break (non-negative curvature, a step longer than dx,
+    or convergence), and none takes more than 8 steps.
+    """
     dx = grid.L / grid.N
+    tol = 1e-14 * max(1.0, grid.L)
     # at the grid shifts y = j dx, C is N ifft(g); the scale leaves the
     # peak and the vertex unchanged
     m, delta = _peak(np.abs(np.fft.ifft(g)))
-    y = (m + delta) * dx
-    derivs = np.stack((g, 1j * k * g, -k * k * g))  # C, C', C'' share e^{iky}
-    for _ in range(8):
-        C, Cp, Cpp = derivs @ np.exp(1j * k * y)
-        slope = 2.0 * (np.conj(C) * Cp).real
-        curv = 2.0 * (abs(Cp) ** 2 + (np.conj(C) * Cpp).real)
-        if curv >= 0.0:
-            break
-        step = -slope / curv
-        if abs(step) > dx:
-            break
-        y += step
-        if abs(step) < 1e-14 * max(1.0, grid.L):
-            break
-    return m * dx, (m + delta) * dx, y
+    vertex = (m + delta) * dx
+    y = vertex.copy()
+    ik = 1j * k
+    e = e_vertex = np.exp(ik * vertex[:, None])
+    derivs = np.stack((g, ik * g, -k * k * g), axis=1)  # C, C', C'' share e^{iky}
+    active = np.ones(y.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(8):
+            if i:
+                e = np.exp(ik * y[:, None])
+            C, Cp, Cpp = (derivs * e[:, None]).sum(axis=-1).T
+            Cc = C.conj()
+            # curv is half the curvature of |C|^2, and y - step the Newton update
+            curv = np.abs(Cp) ** 2 + (Cc * Cpp).real
+            step = (Cc * Cp).real / curv
+            size = np.abs(step)
+            active &= (curv < 0.0) & (size <= dx)
+            np.subtract(y, step, out=y, where=active)
+            active &= size >= tol
+            if not active.any():
+                break
+    grid_shift = m * dx
+    return (np.stack((grid_shift, vertex, y)),
+            np.stack((np.exp(ik * grid_shift[:, None]), e_vertex, np.exp(ik * y[:, None]))))
+
+
+def _nearest(d_sq: np.ndarray, *values: np.ndarray):
+    """For each member (column) of the (3, B) candidate distances d_sq, the
+    least one and the matching entries of `values`, the first on ties."""
+    pick = (np.argmin(d_sq, axis=0), np.arange(d_sq.shape[1]))
+    return tuple(v[pick] for v in (d_sq,) + values)
+
+
+def _per_member(ndim: int, *values: np.ndarray):
+    """The (B,) results as they are for a batch, as floats for one field."""
+    return values if ndim > 1 else tuple(float(v[0]) for v in values)
 
 
 def _profile_modes(wave, nu: float, grid: GridSpec) -> np.ndarray:
@@ -280,19 +342,19 @@ def _profile_modes(wave, nu: float, grid: GridSpec) -> np.ndarray:
 
 def _orbit_modes(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float,
                  b: np.ndarray | None = None):
-    """Stacked modes a = (w', sqrt(nu) w) of the gauged field and
-    b = (phi', sqrt(nu) phi) of the profile (computed unless given), and
-    the product g = sum a conj(b) with
+    """Stacked modes a = (w', sqrt(nu) w) of the gauged field, shape
+    (..., 2, N), and b = (phi', sqrt(nu) phi) of the profile (computed
+    unless given), and the product g = sum a conj(b) with
     G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
     c, _, _ = _wave_scalars(wave)
     # the gauge's phase seam tracks the antipode of x = c t instead of
     # cutting through the profile; for carrier-periodic waves (c L multiple
     # of 4 pi) the wrap changes nothing
     w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
-    a = np.stack((1j * grid.k * w, math.sqrt(nu) * w))
+    a = np.stack((1j * grid.k * w, math.sqrt(nu) * w), axis=-2)
     if b is None:
         b = _profile_modes(wave, nu, grid)
-    return a, b, np.sum(a * np.conj(b), axis=0)
+    return a, b, np.sum(a * np.conj(b), axis=-2)
 
 
 def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0,
@@ -302,23 +364,21 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
     Applies the traveling gauge, correlates the Fourier modes of field and
     profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
     and refines the best shift to sub-grid accuracy (parabolic vertex, then
-    Newton).  Returns (rho, y_star, theta_star).  `profile_modes`, if given,
+    Newton).  Returns (rho, y_star, theta_star): floats for a (N,) field,
+    (B,) arrays for a (B, N) batch of fields.  `profile_modes`, if given,
     holds the stacked Parseval modes (phi', sqrt(nu) phi) of the profile,
     so a caller that measures many fields against one wave samples and
     transforms the profile once.
     """
-    a, b, g = _orbit_modes(u, wave, nu, grid, t, profile_modes)
+    a, b, g = _orbit_modes(np.atleast_2d(u), wave, nu, grid, t, profile_modes)
     k = grid.k
-    best = None
-    for y in _best_shift(g, k, grid):
-        e = np.exp(1j * k * y)
-        theta = float(-np.angle(g @ e)) % (2.0 * math.pi)
-        # direct evaluation of Omega: well conditioned when the distance is
-        # tiny, unlike the expanded const - 2|G| form
-        omega_val = _distance_sq(a, b, np.exp(1j * theta) * e)
-        if best is None or omega_val < best[0]:
-            best = (omega_val, y % grid.L, theta)
-    return math.sqrt(best[0]), best[1], best[2]
+    ys, e = _best_shift(g, k, grid)
+    theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
+    # direct evaluation of Omega: well conditioned when the distance is
+    # tiny, unlike the expanded const - 2|G| form
+    omega_val = _distance_sq(a, b, (np.exp(1j * theta)[..., None] * e)[..., None, :])
+    omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
+    return _per_member(np.ndim(u), np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star)
 
 
 def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
@@ -335,25 +395,28 @@ def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
 
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec, *,
                    g_modes: np.ndarray | None = None):
-    """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples;
-    `g_modes`, if given, is `_modes(g, grid)` computed once by the caller."""
-    fm = _modes(f, grid)
+    """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples f of
+    shape (N,) (floats) or (B, N) ((B,) arrays), and g of shape (N,) or
+    one reference row per row of f; `g_modes`, if given, is
+    `_modes(g, grid)` computed once by the caller."""
+    fm = _modes(np.atleast_2d(f), grid)
     gm = _modes(g, grid) if g_modes is None else g_modes
     k = grid.k
     corr = fm * np.conj(gm)
-    # the real correlation C(y) is at least -||f|| ||g||, so after this
+    # the real correlation C(y) is at least -sum |corr_n|, so after this
     # offset the largest |C| is the largest C, not an anti-correlation
-    corr[0] += np.linalg.norm(fm) * np.linalg.norm(gm)
-    best = min(((_distance_sq(fm, gm, np.exp(1j * k * y)), y % grid.L)
-                for y in _best_shift(corr, k, grid)), key=lambda c: c[0])
-    return math.sqrt(best[0]), best[1]
+    corr[:, 0] += np.abs(corr).sum(axis=-1)
+    ys, e = _best_shift(corr, k, grid)
+    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], e[..., None, :])
+    d_sq, y = _nearest(d_sq, ys)
+    return _per_member(np.ndim(f), np.sqrt(d_sq), np.mod(y, grid.L))
 
 
 def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec, *,
                       g_modes: np.ndarray | None = None) -> float:
-    """||f(.+y) - g||_L2; `g_modes` as in `shift_distance`."""
+    """||f(.+y) - g||_L2 for (N,) samples; `g_modes` as in `shift_distance`."""
     gm = _modes(g, grid) if g_modes is None else g_modes
-    return math.sqrt(_distance_sq(_modes(f, grid), gm, np.exp(1j * grid.k * y)))
+    return math.sqrt(_distance_sq(_modes(f, grid)[None], gm, np.exp(1j * grid.k * y)))
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +437,6 @@ class ExperimentRecord:
     theta_star: np.ndarray
     dist_v: np.ndarray
     dist_V: np.ndarray
-    dist_v_at_ystar: np.ndarray
-    dist_V_at_ystar: np.ndarray
     q1_uv_real: np.ndarray
     q1_uv_imag: np.ndarray
 
@@ -429,12 +490,14 @@ def _l2(f, grid) -> float:
 
 
 def _h1nu(f, grid, nu) -> float:
-    df = np.fft.ifft(1j * grid.k * np.fft.fft(f))
+    df = _derivative(f, grid)
     return math.sqrt(abs(grid.integrate(np.abs(df) ** 2)) + nu * abs(grid.integrate(np.abs(f) ** 2)))
 
 
-def _sup(s: FieldState) -> float:
-    return max(np.max(np.abs(s.v)), np.max(np.abs(s.V)), np.max(np.abs(s.u)))
+def _sup(s: FieldState) -> np.ndarray:
+    """Per-member sup norm of (v, V, u) over (B, N) fields; NaN if any
+    sample is NaN."""
+    return np.max([np.max(np.abs(f), axis=-1) for f in (s.v, s.V, s.u)], axis=0)
 
 
 def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
@@ -444,10 +507,14 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     against `wave`; returns one record per state, in order.
 
     The members share the wave, grid, dt, t_end and start time, and step
-    together as one (3, B, N) spectral state, so a member's record is
-    bitwise the one it gets in a batch of one.  `metadata[i]` seeds the
-    metadata of record i.  Blow-up is judged per member, against that
-    member's initial sup norm, and names the member.
+    together as one (3, B, N) spectral state.  At each save every
+    diagnostic is called once on the (B, N) fields of the whole batch (one
+    `shift_distance` on the stacked (2B, N) v and V) and writes one row of
+    a preallocated (n_saves, B) array per series; record i holds column i.
+    Steps and diagnostics act row by row, so a member's record is bitwise
+    the one it gets in a batch of one.  `metadata[i]` seeds the metadata of
+    record i.  Blow-up is judged per member, against that member's initial
+    sup norm, and names the first failing member.
     """
     c, omega, nu = _wave_scalars(wave)
     ev = Evolver(grid, dt)
@@ -465,41 +532,41 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     n_steps = int(round(t_end / dt))
     if save_every is None:
         save_every = max(1, n_steps // 200)
-    spec = ev.to_spectral(FieldState(t0, np.stack([s.v for s in states0]),
-                                     np.stack([s.V for s in states0]),
-                                     np.stack([s.u for s in states0])))
-    sup0 = [max(_sup(s), 1e-30) for s in states0]
+    batch0 = FieldState(t0, np.stack([s.v for s in states0]),
+                        np.stack([s.V for s in states0]), np.stack([s.u for s in states0]))
+    spec = ev.to_spectral(batch0)
+    sup0 = np.maximum(_sup(batch0), 1e-30)
 
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
-    # reference modes, transformed once for every save of every member
-    psi_ref, vphi_ref = ref.v, ref.V
-    psi_m, vphi_m = _modes(psi_ref, grid), _modes(vphi_ref, grid)
+    # reference modes, transformed once for every save of every member; v
+    # and V meet their references psi and varphi in one shift search, rows
+    # 0..B-1 for v and B..2B-1 for V
+    acoustic_ref = np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0)
+    acoustic_m = _modes(acoustic_ref, grid)
     profile_m = _profile_modes(wave, nu, grid)
 
-    series = [{name: [] for name in _SERIES} for _ in range(n_members)]
+    # the initial state, every save_every-th step and the last step
+    n_saves = n_steps // save_every + 1 + (n_steps % save_every != 0)
+    series = {name: np.empty((n_saves, n_members)) for name in _SERIES}
+    n_saved = 0
 
-    def members(batch):
-        return [FieldState(batch.t, batch.v[i], batch.V[i], batch.u[i])
-                for i in range(n_members)]
-
-    def record(s, out):
-        inv = invariants(s, grid)
+    def record(s):
+        nonlocal n_saved
+        ux = _derivative(s.u, grid)
+        inv = invariants(s, grid, ux=ux)
         rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t,
                                        profile_modes=profile_m)
-        dv, _ = shift_distance(s.v, psi_ref, grid, g_modes=psi_m)
-        dV, _ = shift_distance(s.V, vphi_ref, grid, g_modes=vphi_m)
-        q1p = q1_paper_form(s, grid)
+        dist, _ = shift_distance(np.concatenate((s.v, s.V)), acoustic_ref, grid,
+                                 g_modes=acoustic_m)
+        q1p = q1_paper_form(s, grid, ux=ux)
         row = (s.t, inv.E, inv.Q1, inv.Q2, inv.E - c * inv.Q1 - omega * inv.Q2,
-               rho, ys, th, dv, dV,
-               distance_at_shift(s.v, psi_ref, ys, grid, g_modes=psi_m),
-               distance_at_shift(s.V, vphi_ref, ys, grid, g_modes=vphi_m),
-               q1p.real, q1p.imag)
+               rho, ys, th, dist[:n_members], dist[n_members:], q1p.real, q1p.imag)
         for name, val in zip(_SERIES, row):
-            out[name].append(val)
+            series[name][n_saved] = val
+        n_saved += 1
 
-    for s, out in zip(members(ev.to_physical(spec, t0)), series):
-        record(s, out)
+    record(ev.to_physical(spec, t0))
     for step in range(1, n_steps + 1):
         spec = ev.step(spec)
         t = t0 + step * dt
@@ -508,19 +575,19 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
             if not np.all(finite):
                 raise BlowUpError(t, member=int(np.argmin(finite)))
         if step % save_every == 0 or step == n_steps:
-            saved = members(ev.to_physical(spec, t))
-            for i, s in enumerate(saved):
-                sup = _sup(s)
-                if not np.isfinite(sup) or sup > 1e6 * sup0[i]:
-                    raise BlowUpError(t, member=i)
-            for s, out in zip(saved, series):
-                record(s, out)
+            saved = ev.to_physical(spec, t)
+            sup = _sup(saved)
+            blown = ~np.isfinite(sup) | (sup > 1e6 * sup0)
+            if blown.any():
+                raise BlowUpError(t, member=int(np.argmax(blown)))
+            record(saved)
+    assert n_saved == n_saves, f"{n_saved} of {n_saves} save rows filled"
 
     common = {"L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
               "c": c, "omega": omega, "nu": nu, "B_wave": b_wave}
     return [ExperimentRecord(metadata={**meta, **common},
-                             **{name: np.array(vals) for name, vals in out.items()})
-            for meta, out in zip(metadata, series)]
+                             **{name: vals[:, i] for name, vals in series.items()})
+            for i, meta in enumerate(metadata)]
 
 
 def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,

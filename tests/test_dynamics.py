@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zakwave import dynamics
 from zakwave.dynamics import (
     Evolver,
     ExperimentRecord,
@@ -174,6 +175,27 @@ def test_evolve_rejects_malformed_batches(wave_c0):
     for states, meta in (([], None), ([s0, s0], [{}]), ([s0, s1], None)):
         with pytest.raises(DomainError):
             evolve(states, wave_c0, grid, dt=1e-3, t_end=1e-3, metadata=meta)
+
+
+def test_grid_arrays_are_cached_and_read_only():
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    for name in ("xs", "k", "dealias_mask"):
+        a = getattr(grid, name)
+        assert a is getattr(grid, name), name
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert grid == GridSpec(L=2.0 * math.pi, N=64)
+    assert hash(grid) == hash(GridSpec(L=2.0 * math.pi, N=64))
+
+
+def test_blow_up_names_the_first_of_several_failing_members(wave_c0):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    states = [wave_state(wave_c0, grid) for _ in range(4)]
+    for i in (1, 3):
+        states[i].v[7] = 1e9
+    with pytest.raises(BlowUpError, match="in member 1") as exc:
+        evolve(states, wave_c0, grid, dt=1e-4, t_end=1e-4, save_every=1)
+    assert exc.value.member == 1
 
 
 def test_grid_rejects_odd_or_tiny_N():
@@ -464,12 +486,132 @@ def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std):
     rec = evolve([s0], wave_std, grid_std, dt, n * dt, save_every=n)[0]
     nu = wave_std.params.nu
     for row, s in ((0, _advance(s0, dt, grid_std, 0)), (1, _advance(s0, dt, grid_std, n))):
+        inv = invariants(s, grid_std)
+        assert (rec.E[row], rec.Q1[row], rec.Q2[row]) == (inv.E, inv.Q1, inv.Q2)
+        q1p = q1_paper_form(s, grid_std)
+        assert (rec.q1_uv_real[row], rec.q1_uv_imag[row]) == (q1p.real, q1p.imag)
         rho, y, th = orbital_distance(s.u, wave_std, nu, grid_std, t=s.t)
         assert (rec.rho_nu[row], rec.y_star[row], rec.theta_star[row]) == (rho, y, th)
         assert rec.dist_v[row] == shift_distance(s.v, base.v, grid_std)[0]
         assert rec.dist_V[row] == shift_distance(s.V, base.V, grid_std)[0]
-        assert rec.dist_v_at_ystar[row] == distance_at_shift(s.v, base.v, y, grid_std)
-        assert rec.dist_V_at_ystar[row] == distance_at_shift(s.V, base.V, y, grid_std)
+
+
+def test_evolve_saves_every_save_every_steps_and_the_last(wave_c0):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    s0 = wave_state(wave_c0, grid)
+    dt = 1e-3
+    for rec in evolve([s0, s0], wave_c0, grid, dt, 7 * dt, save_every=3):
+        assert rec.times == pytest.approx([0.0, 3 * dt, 6 * dt, 7 * dt], abs=1e-15)
+        for f in fields(ExperimentRecord)[1:]:
+            assert getattr(rec, f.name).shape == (4,), f.name
+
+
+def _perturbed_batch(wave, grid, rng, scales, t=0.0):
+    """(B, N) fields: the exact wave at time t plus band-limited
+    perturbations of the given sizes, one member per scale."""
+    base = wave_state(wave, grid, t=t)
+
+    def pert(**kw):
+        return np.stack([sc * band_limited_perturbation(rng, grid, 8, **kw) for sc in scales])
+
+    return FieldState(t, base.v + pert(), base.V + pert(zero_mean=True),
+                      base.u + pert(complex_field=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       scales=st.lists(st.sampled_from((0.0, 1e-4, 1e-2, 0.3, 3.0)), min_size=1, max_size=6))
+@example(seed=0, scales=[0.0, 1e-3, 1e-2, 0.3])
+def test_batched_diagnostics_equal_single_row_calls(wave_std, grid_std, seed, scales):
+    # scale 0 is the exact wave, on which one Newton search stops a step
+    # earlier than on the perturbed members beside it
+    rng = np.random.default_rng(seed)
+    batch = _perturbed_batch(wave_std, grid_std, rng, scales, t=0.7)
+    ref = wave_state(wave_std, grid_std)
+    nu = wave_std.params.nu
+    inv = invariants(batch, grid_std)
+    q1p = q1_paper_form(batch, grid_std)
+    rho, y, th = orbital_distance(batch.u, wave_std, nu, grid_std, t=batch.t)
+    dv, yv = shift_distance(batch.v, ref.v, grid_std)
+    dV, yV = shift_distance(batch.V, ref.V, grid_std)
+    # one reference per row, as evolve measures v and V in one call
+    both = shift_distance(np.concatenate((batch.v, batch.V)),
+                          np.repeat(np.stack((ref.v, ref.V)), len(scales), axis=0), grid_std)
+    assert np.array_equal(np.concatenate(((dv, yv), (dV, yV)), axis=1), both)
+    for i in range(len(scales)):
+        s = FieldState(batch.t, batch.v[i], batch.V[i], batch.u[i])
+        one = invariants(s, grid_std)
+        assert (inv.E[i], inv.Q1[i], inv.Q2[i]) == (one.E, one.Q1, one.Q2)
+        assert q1p[i] == q1_paper_form(s, grid_std)
+        assert (rho[i], y[i], th[i]) == orbital_distance(s.u, wave_std, nu, grid_std, t=s.t)
+        assert (dv[i], yv[i]) == shift_distance(s.v, ref.v, grid_std)
+        assert (dV[i], yV[i]) == shift_distance(s.V, ref.V, grid_std)
+
+
+def _lone_best_shift(g, k, grid):
+    """One row's Newton shift and why its iteration ended, with the break
+    statements of a lone run; the arithmetic stays on (1,) arrays, as
+    numpy scalars may round otherwise."""
+    dx = grid.L / grid.N
+    m, delta = dynamics._peak(np.abs(np.fft.ifft(g))[None])
+    y = (m + delta) * dx
+    derivs = np.stack((g, 1j * k * g, -k * k * g))
+    for _ in range(8):
+        C, Cp, Cpp = np.sum(derivs * np.exp(1j * k * y), axis=-1)[:, None]
+        slope = 2.0 * (np.conj(C) * Cp).real
+        curv = 2.0 * (np.abs(Cp) ** 2 + (np.conj(C) * Cpp).real)
+        if curv[0] >= 0.0:
+            return y[0], "curvature"
+        step = -slope / curv
+        if abs(step[0]) > dx:
+            return y[0], "long step"
+        y = y + step
+        if abs(step[0]) < 1e-14 * max(1.0, grid.L):
+            return y[0], "converged"
+    return y[0], "cap"
+
+
+def test_batched_newton_keeps_each_rows_own_break():
+    grid = GridSpec(L=8.0 * math.pi, N=64)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((600, grid.N)) + 1j * rng.standard_normal((600, grid.N))
+    ys, phases = dynamics._best_shift(g, grid.k, grid)
+    assert ys.shape == (3, len(g)) and phases.shape == (3, len(g), grid.N)
+    ends = set()
+    for i in range(len(g)):
+        y, end = _lone_best_shift(g[i], grid.k, grid)
+        ends.add(end)
+        assert ys[2, i] == y, i
+        one, _ = dynamics._best_shift(g[i:i + 1], grid.k, grid)
+        assert np.array_equal(one[:, 0], ys[:, i]), i
+    # these white-noise correlations end Newton on every branch
+    assert ends == {"curvature", "long step", "converged", "cap"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(shifts=st.lists(st.tuples(st.floats(0.0, STD_L, exclude_max=True),
+                                 st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+                       min_size=1, max_size=5))
+def test_batched_orbital_distance_recovers_each_shift_and_phase(wave_std, grid_std, shifts):
+    # translated and phase-rotated exact waves, measured as one batch
+    p = wave_std.params
+    y0, th0 = np.array(shifts).T
+    uhat = np.fft.fft(wave_state(wave_std, grid_std).u)
+    u = np.fft.ifft(uhat * np.exp(-1j * grid_std.k * y0[:, None])) * np.exp(1j * th0[:, None])
+    rho, y, th = orbital_distance(u, wave_std, p.nu, grid_std)
+    assert rho.shape == y.shape == th.shape == (len(shifts),)
+    for i in range(len(shifts)):
+        assert rho[i] <= 1e-8
+        assert _circular_gap(y[i], y0[i], grid_std.L) <= 1e-8
+        assert _circular_gap(th[i], -(th0[i] - 0.5 * p.c * y0[i]), 2.0 * math.pi) <= 1e-8
+
+
+def test_distance_at_shift_matches_the_shift_search(wave_std, grid_std):
+    rng = np.random.default_rng(2)
+    psi = wave_state(wave_std, grid_std).v
+    f = np.roll(psi, 5) + 1e-2 * band_limited_perturbation(rng, grid_std, 8)
+    d, y = shift_distance(f, psi, grid_std)
+    assert distance_at_shift(f, psi, y, grid_std) == pytest.approx(d, rel=1e-12)
 
 
 _BATCH_DELTAS = (0.0, 1e-3, 3e-3, 1e-2, 3e-2)
@@ -516,6 +658,8 @@ def test_record_serialization(tmp_path, wave_std):
     payload = json.loads(json_path.read_text())
     assert payload["metadata"]["seed"] == 1
     assert len(payload["times"]) == len(rec.times)
+    assert list(payload) == ["metadata", "times", "E", "Q1", "Q2", "B", "rho_nu", "y_star",
+                             "theta_star", "dist_v", "dist_V", "q1_uv_real", "q1_uv_imag"]
 
 
 def test_mean_condition_clamps_v_perturbation(wave_std):

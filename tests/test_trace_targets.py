@@ -1,8 +1,9 @@
 """The traced benchmark run wraps zakwave names from outside; these checks
 fail when one of those names is deleted or renamed, when a step stops
 doing the 16 transforms the benchmark's self-test expects, when the
-modulated-distance search transforms shifted fields again, or when the
-save points transform the fixed reference fields again."""
+modulated-distance search transforms shifted fields again, when the
+save points transform the fixed reference fields again, or when a batch
+runs its save-point diagnostics member by member."""
 
 import os
 import sys
@@ -76,4 +77,21 @@ def test_traced_evolve_transforms_reference_fields_once(tracer, wave_std, grid_s
         dynamics.evolve([s0], wave_std, grid_std, 1e-3, 8e-3, save_every=save_every)
         profiles.append(tracer.names[first:].count("wavefamily.profile"))
     assert profiles[0] == profiles[1]
-    assert spans.layer_metrics(tracer)["dynamics.fft.per_save"] <= 15
+    assert spans.layer_metrics(tracer)["dynamics.fft.per_save"] <= 11
+
+
+def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
+    # a batch of five calls each diagnostic once per save, as one member does
+    s0 = wave_state(wave_std, grid_std)
+    metrics = []
+    for n_members in (1, 5):
+        tr = spans.Tracer()
+        tr.install()
+        try:
+            dynamics.evolve([s0] * n_members, wave_std, grid_std, 1e-3, 8e-3, save_every=2)
+        finally:
+            tr.uninstall()
+        metrics.append(spans.layer_metrics(tr))
+    for m in metrics:
+        assert m["dynamics.save.calls"] == 5
+    assert metrics[1]["dynamics.fft.per_save"] == metrics[0]["dynamics.fft.per_save"]
