@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -156,6 +157,25 @@ class Evolver:
     matches without broadcasting.  The linear -i k^2 uhat term is left out
     of the right-hand side and transported exactly by the Lawson factors
     E_half and E_full.
+
+    `step` and `rhs_spectral` work in a workspace that is allocated on
+    first use and rebuilt whenever the batch shape changes: k1..k4 and one
+    stage buffer, four (B, N) rows for the physical fields and their
+    products, and, for B > 1, the factors spread over the batch (a product
+    with a broadcast operand makes numpy allocate and fill an iteration
+    buffer).  Every transform writes through numpy's `out=` and every
+    product through a ufunc `out=`, so a step allocates only the array it
+    returns.  That array is fresh, so a caller may keep old states; the
+    workspace is shared, so an Evolver is not re-entrant (one step or
+    right-hand side at a time, from one thread).
+
+    Each in-place product keeps the operand order of the expression it
+    replaces, `np.multiply(eh, y, out=y)` for `eh * y`: numpy's complex
+    multiply is not bitwise commutative (its SIMD loop forms the imaginary
+    part with a fused multiply-add, which rounds only one of the two cross
+    products), and `y *= eh` computes `y * eh`.  With the order kept, a
+    step is bitwise the expression
+    `ef*spec + dt/6*(ef*k1 + 2*eh*k2 + 2*eh*k3 + k4)` on fresh arrays.
     """
 
     def __init__(self, grid: GridSpec, dt: float):
@@ -172,6 +192,12 @@ class Evolver:
         ones = np.ones(grid.N)
         self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))[:, None]
         self.E_full = self.E_half**2
+        self._ws = None
+
+    def _workspace(self, shape: tuple) -> _Workspace:
+        if self._ws is None or self._ws.shape != shape:
+            self._ws = _Workspace(self, shape)
+        return self._ws
 
     def to_spectral(self, s: FieldState) -> np.ndarray:
         spec = np.stack((np.fft.fft(s.v), np.fft.fft(s.V), np.fft.fft(s.u)))
@@ -181,28 +207,90 @@ class Evolver:
         return FieldState(t=t, v=np.fft.ifft(spec[0]).real, V=np.fft.ifft(spec[1]).real,
                           u=np.fft.ifft(spec[2]))
 
-    def rhs_spectral(self, spec: np.ndarray) -> np.ndarray:
+    def rhs_spectral(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Spectral right-hand side at `spec`, written into `out` (a new
+        array if None) and returned; `out` must not overlap `spec`."""
+        if out is None:
+            out = np.empty_like(spec)
+        ws = self._workspace(spec.shape)
         vhat, Vhat, uhat = spec
-        v = np.fft.ifft(vhat).real
-        u = np.fft.ifft(uhat)
-        u2hat = np.fft.fft(np.abs(u) ** 2)
-        u2hat *= self.mask
-        uvhat = np.fft.fft(u * v)
-        uvhat *= self.mask
-        d = np.empty_like(spec)
-        d[0] = -self.ik * Vhat
-        d[1] = -self.ik * (vhat + u2hat)
-        d[2] = -1j * uvhat
-        return d
+        u, a, c, p, mask = ws.u, ws.a, ws.c, ws.p, ws.mask
+        np.fft.ifft(uhat, out=u)
+        np.fft.ifft(vhat, out=a)
+        # p is (v, 0): the complex operand numpy casts the real v to in u * v
+        p.real = a.real
+        np.multiply(u, p, out=c)
+        uvhat = np.fft.fft(c, out=a)
+        uvhat *= mask
+        np.multiply(-1j, uvhat, out=out[2])
+        # p is (|u|^2, 0): the complex array fft casts the real |u|^2 to
+        np.abs(u, out=p.real)
+        np.square(p.real, out=p.real)
+        u2hat = np.fft.fft(p, out=c)
+        u2hat *= mask
+        np.add(vhat, u2hat, out=u2hat)
+        np.multiply(ws.minus_ik, u2hat, out=out[1])
+        np.multiply(ws.minus_ik, Vhat, out=out[0])
+        return out
 
     def step(self, spec: np.ndarray) -> np.ndarray:
-        """One Lawson integrating-factor RK4 step on the spectral state."""
-        dt, eh, ef, f = self.dt, self.E_half, self.E_full, self.rhs_spectral
-        k1 = f(spec)
-        k2 = f(eh * (spec + 0.5 * dt * k1))
-        k3 = f(eh * spec + 0.5 * dt * k2)
-        k4 = f(ef * spec + dt * eh * k3)
-        return ef * spec + dt / 6.0 * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
+        """One Lawson integrating-factor RK4 step on the spectral state;
+        returns a new array."""
+        f = self.rhs_spectral
+        ws = self._workspace(spec.shape)
+        eh, ef, k1, k2, k3, k4, y = ws.eh, ws.ef, ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
+        half_dt = 0.5 * self.dt
+        f(spec, out=k1)
+        # k2 = f(eh * (spec + dt/2 k1))
+        np.multiply(half_dt, k1, out=y)
+        np.add(spec, y, out=y)
+        np.multiply(eh, y, out=y)
+        f(y, out=k2)
+        # k3 = f(eh * spec + dt/2 k2)
+        np.multiply(eh, spec, out=y)
+        np.multiply(half_dt, k2, out=k3)
+        np.add(y, k3, out=y)
+        f(y, out=k3)
+        # k4 = f(ef * spec + dt eh k3)
+        new = np.multiply(ef, spec)
+        np.multiply(ws.dt_eh, k3, out=k4)
+        np.add(new, k4, out=y)
+        f(y, out=k4)
+        # ef * spec + dt/6 (ef k1 + 2 eh k2 + 2 eh k3 + k4)
+        np.multiply(ef, k1, out=k1)
+        np.multiply(ws.two_eh, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(ws.two_eh, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(self.dt / 6.0, k1, out=k1)
+        np.add(new, k1, out=new)
+        return new
+
+
+class _Workspace:
+    """Scratch arrays of an `Evolver` for one (3, B, N) state shape, and
+    its factors spread to that shape."""
+
+    def __init__(self, ev: Evolver, shape: tuple):
+        self.shape = shape
+        self.k1, self.k2, self.k3, self.k4, self.stage = (
+            np.empty(shape, dtype=complex) for _ in range(5))
+        rows = shape[1:]
+        self.u, self.a, self.c = (np.empty(rows, dtype=complex) for _ in range(3))
+        # only p.real is ever written, so p.imag stays zero
+        self.p = np.zeros(rows, dtype=complex)
+        # the factors the step's expression forms on every call, formed
+        # once; for a batch of one, spreading copies nothing
+        self.eh, self.ef, self.two_eh, self.dt_eh = (
+            _spread(f, shape) for f in (ev.E_half, ev.E_full, 2.0 * ev.E_half,
+                                        ev.dt * ev.E_half))
+        self.mask, self.minus_ik = (_spread(f, rows) for f in (ev.mask, -ev.ik))
+
+
+def _spread(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a broadcast to shape, as a contiguous array."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape))
 
 
 # --------------------------------------------------------------------------
@@ -529,6 +617,10 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     t0 = states0[0].t
     if any(s.t != t0 for s in states0):
         raise DomainError("batch members must start at the same time")
+    if save_every is not None and not (
+            isinstance(save_every, numbers.Integral) and not isinstance(save_every, bool)
+            and save_every > 0):
+        raise DomainError(f"save_every={save_every!r} must be None or a positive int")
     n_steps = int(round(t_end / dt))
     if save_every is None:
         save_every = max(1, n_steps // 200)

@@ -1,6 +1,7 @@
 """Evolution, conserved quantities, and the modulated-distance machinery."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -155,6 +156,25 @@ def test_batched_step_is_bitwise_the_single_step(wave_std, N):
     assert np.array_equal(batch, np.concatenate(singles, axis=1))
 
 
+def test_step_allocates_only_the_state_it_returns(wave_std, grid_std):
+    # the workspace holds every scratch array, so after a warm-up step a
+    # step's allocation peak is the new state (1.15 x spec.nbytes at B=1;
+    # the expression form on fresh arrays peaked at about 8 x)
+    ev = Evolver(grid_std, dt=1e-3)
+    spec = ev.step(ev.to_spectral(wave_state(wave_std, grid_std)))
+    tracemalloc.start()
+    try:
+        spec = ev.step(spec)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new = ev.step(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert new.shape == (3, 1, grid_std.N)
+    assert peak <= 2 * spec.nbytes
+
+
 @pytest.mark.parametrize("save_every, fail_step", [(1, 1), (1000, 50)])
 def test_blow_up_in_a_batch_names_the_member(wave_c0, save_every, fail_step):
     # save_every=1 trips the save-time sup check at step 1; with no save
@@ -175,6 +195,29 @@ def test_evolve_rejects_malformed_batches(wave_c0):
     for states, meta in (([], None), ([s0, s0], [{}]), ([s0, s1], None)):
         with pytest.raises(DomainError):
             evolve(states, wave_c0, grid, dt=1e-3, t_end=1e-3, metadata=meta)
+
+
+@pytest.mark.parametrize("save_every", [0, -1, 2.5, True])
+@pytest.mark.parametrize("entry", ["evolve", "stability_experiment", "solitary_experiment"])
+def test_save_every_must_be_a_positive_int(wave_c0, entry, save_every):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    runs = {
+        "evolve": lambda: evolve([wave_state(wave_c0, grid)], wave_c0, grid, dt=1e-3,
+                                 t_end=4e-3, save_every=save_every),
+        "stability_experiment": lambda: stability_experiment(
+            wave_c0, delta=1e-3, t_end=4e-3, dt=1e-3, N=64, save_every=save_every),
+        "solitary_experiment": lambda: solitary_experiment(
+            -1.0, 0.5, t_end=4e-3, dt=1e-3, N=64, save_every=save_every),
+    }
+    with pytest.raises(DomainError, match="save_every"):
+        runs[entry]()
+
+
+def test_save_every_takes_numpy_ints(wave_c0):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    rec = evolve([wave_state(wave_c0, grid)], wave_c0, grid, dt=1e-3, t_end=4e-3,
+                 save_every=np.int64(2))[0]
+    assert len(rec.times) == 3
 
 
 def test_grid_arrays_are_cached_and_read_only():
