@@ -160,20 +160,20 @@ class Evolver:
 
     `step` and `rhs_spectral` work in a workspace that is allocated on
     first use and rebuilt whenever the batch shape changes: k1..k4 and one
-    stage buffer, four (B, N) rows for the physical fields and their
-    products, and, for B > 1, the factors spread over the batch (a product
-    with a broadcast operand makes numpy allocate and fill an iteration
-    buffer).  Every transform writes through numpy's `out=` and every
-    product through a ufunc `out=`, so a step allocates only the array it
-    returns.  That array is fresh, so a caller may keep old states; the
-    workspace is shared, so an Evolver is not re-entrant (one step or
-    right-hand side at a time, from one thread).
+    stage buffer, and four (B, N) rows for the physical fields and their
+    products.  Every transform writes through numpy's `out=` (numpy >= 2.0)
+    and every product through a ufunc `out=`, with the factors 2 E_half,
+    dt E_half and -ik formed once per Evolver, so a step allocates only
+    the array it returns.  That array is fresh, so a caller may keep old
+    states; the workspace is shared, so an Evolver is not re-entrant (one
+    step or right-hand side at a time, from one thread).
 
     Each in-place product keeps the operand order of the expression it
     replaces, `np.multiply(eh, y, out=y)` for `eh * y`: numpy's complex
-    multiply is not bitwise commutative (its SIMD loop forms the imaginary
-    part with a fused multiply-add, which rounds only one of the two cross
-    products), and `y *= eh` computes `y * eh`.  With the order kept, a
+    multiply need not be bitwise commutative (a SIMD loop that forms the
+    imaginary part with a fused multiply-add rounds only one of the two
+    cross products, as numpy 2.4's x86-64 loop does), and `y *= eh`
+    computes `y * eh`.  With the order kept, a
     step is bitwise the expression
     `ef*spec + dt/6*(ef*k1 + 2*eh*k2 + 2*eh*k3 + k4)` on fresh arrays.
     """
@@ -192,11 +192,15 @@ class Evolver:
         ones = np.ones(grid.N)
         self.E_half = np.stack((ones, ones, np.exp(-0.5j * self.k2 * dt)))[:, None]
         self.E_full = self.E_half**2
+        # the factors the step's expression would form on every call
+        self._two_eh = 2.0 * self.E_half
+        self._dt_eh = dt * self.E_half
+        self._minus_ik = -self.ik
         self._ws = None
 
     def _workspace(self, shape: tuple) -> _Workspace:
         if self._ws is None or self._ws.shape != shape:
-            self._ws = _Workspace(self, shape)
+            self._ws = _Workspace(shape)
         return self._ws
 
     def to_spectral(self, s: FieldState) -> np.ndarray:
@@ -214,7 +218,7 @@ class Evolver:
             out = np.empty_like(spec)
         ws = self._workspace(spec.shape)
         vhat, Vhat, uhat = spec
-        u, a, c, p, mask = ws.u, ws.a, ws.c, ws.p, ws.mask
+        u, a, c, p, mask = ws.u, ws.a, ws.c, ws.p, self.mask
         np.fft.ifft(uhat, out=u)
         np.fft.ifft(vhat, out=a)
         # p is (v, 0): the complex operand numpy casts the real v to in u * v
@@ -229,8 +233,8 @@ class Evolver:
         u2hat = np.fft.fft(p, out=c)
         u2hat *= mask
         np.add(vhat, u2hat, out=u2hat)
-        np.multiply(ws.minus_ik, u2hat, out=out[1])
-        np.multiply(ws.minus_ik, Vhat, out=out[0])
+        np.multiply(self._minus_ik, u2hat, out=out[1])
+        np.multiply(self._minus_ik, Vhat, out=out[0])
         return out
 
     def step(self, spec: np.ndarray) -> np.ndarray:
@@ -238,7 +242,8 @@ class Evolver:
         returns a new array."""
         f = self.rhs_spectral
         ws = self._workspace(spec.shape)
-        eh, ef, k1, k2, k3, k4, y = ws.eh, ws.ef, ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
+        eh, ef = self.E_half, self.E_full
+        k1, k2, k3, k4, y = ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
         half_dt = 0.5 * self.dt
         f(spec, out=k1)
         # k2 = f(eh * (spec + dt/2 k1))
@@ -253,14 +258,14 @@ class Evolver:
         f(y, out=k3)
         # k4 = f(ef * spec + dt eh k3)
         new = np.multiply(ef, spec)
-        np.multiply(ws.dt_eh, k3, out=k4)
+        np.multiply(self._dt_eh, k3, out=k4)
         np.add(new, k4, out=y)
         f(y, out=k4)
         # ef * spec + dt/6 (ef k1 + 2 eh k2 + 2 eh k3 + k4)
         np.multiply(ef, k1, out=k1)
-        np.multiply(ws.two_eh, k2, out=k2)
+        np.multiply(self._two_eh, k2, out=k2)
         np.add(k1, k2, out=k1)
-        np.multiply(ws.two_eh, k3, out=k3)
+        np.multiply(self._two_eh, k3, out=k3)
         np.add(k1, k3, out=k1)
         np.add(k1, k4, out=k1)
         np.multiply(self.dt / 6.0, k1, out=k1)
@@ -269,10 +274,9 @@ class Evolver:
 
 
 class _Workspace:
-    """Scratch arrays of an `Evolver` for one (3, B, N) state shape, and
-    its factors spread to that shape."""
+    """Scratch arrays of an `Evolver` for one (3, B, N) state shape."""
 
-    def __init__(self, ev: Evolver, shape: tuple):
+    def __init__(self, shape: tuple):
         self.shape = shape
         self.k1, self.k2, self.k3, self.k4, self.stage = (
             np.empty(shape, dtype=complex) for _ in range(5))
@@ -280,17 +284,6 @@ class _Workspace:
         self.u, self.a, self.c = (np.empty(rows, dtype=complex) for _ in range(3))
         # only p.real is ever written, so p.imag stays zero
         self.p = np.zeros(rows, dtype=complex)
-        # the factors the step's expression forms on every call, formed
-        # once; for a batch of one, spreading copies nothing
-        self.eh, self.ef, self.two_eh, self.dt_eh = (
-            _spread(f, shape) for f in (ev.E_half, ev.E_full, 2.0 * ev.E_half,
-                                        ev.dt * ev.E_half))
-        self.mask, self.minus_ik = (_spread(f, rows) for f in (ev.mask, -ev.ik))
-
-
-def _spread(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """a broadcast to shape, as a contiguous array."""
-    return np.ascontiguousarray(np.broadcast_to(a, shape))
 
 
 # --------------------------------------------------------------------------
