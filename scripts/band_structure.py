@@ -6,12 +6,12 @@ instability intervals, and the widest residual higher gap.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from zakwave.elliptic import Modulus
+from zakwave.output import write_csv
 from zakwave.spectral import instability_intervals, lame_eigen_analytic
 
 
@@ -36,12 +36,8 @@ def main() -> int:
         print(f"k={k:.3f}: gap1 width {g1_hi - g1_lo:.6e}, "
               f"gap2 width {g2_hi - g2_lo:.6e}, residual {residual:.2e}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "edge0", "gap1_lo", "gap1_hi", "gap2_lo",
-                        "gap2_hi", "max_higher_gap", "rho0", "rho1", "rho2"])
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(args.out, ["k", "edge0", "gap1_lo", "gap1_hi", "gap2_lo", "gap2_hi",
+                         "max_higher_gap", "rho0", "rho1", "rho2"], rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -7,12 +7,12 @@ an orbitally stable wave the sup should scale roughly linearly in delta.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from zakwave.dynamics import stability_experiment
+from zakwave.output import write_csv
 from zakwave.wavefamily import build_wave
 
 
@@ -42,11 +42,7 @@ def main() -> int:
         print(f"ratio {deltas[i]:.3e}/{deltas[i-1]:.3e}: "
               f"{sups[i] / sups[i-1]:.3f}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "sup_rho_nu"])
-        for d, s in zip(deltas, sups):
-            writer.writerow([f"{d:.17g}", f"{s:.17g}"])
+    write_csv(args.out, ["delta", "sup_rho_nu"], zip(deltas, sups))
     print(f"wrote {args.out}")
     return 0
 

@@ -10,8 +10,6 @@ RK4: the stiff linear i u_xx term is transported exactly in Fourier space.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 from collections.abc import Sequence
@@ -21,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, DomainError
+from .output import write_csv, write_json
 from .wavefamily import DnoidalWave, solitary_wave
 
 __all__ = [
@@ -525,19 +524,12 @@ class ExperimentRecord:
         return self.B - self.metadata["B_wave"]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("t",) + _CSV_SERIES[1:])
-            for row in zip(*(getattr(self, name) for name in _CSV_SERIES)):
-                writer.writerow([f"{val:.17g}" for val in row])
+        write_csv(path, ("t",) + _CSV_SERIES[1:],
+                  zip(*(getattr(self, name) for name in _CSV_SERIES)))
 
     def to_json(self, path) -> None:
-        payload = {"metadata": self.metadata}
-        for name in _SERIES:
-            payload[name] = [float(x) for x in getattr(self, name)]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        write_json(path, {"metadata": self.metadata}
+                   | {name: [float(x) for x in getattr(self, name)] for name in _SERIES})
 
 
 # Recorded time series in field order; the CSV holds the first ten, with
@@ -551,18 +543,19 @@ def band_limited_perturbation(rng: np.random.Generator, grid: GridSpec, n_max: i
                               zero_mean: bool = False) -> np.ndarray:
     """Seeded random field with Fourier support |n| <= n_max (unnormalized)."""
     N = grid.N
-    if complex_field:
-        chat = np.zeros(N, dtype=complex)
-        for n in range(-n_max, n_max + 1):
-            chat[n % N] = rng.standard_normal() + 1j * rng.standard_normal()
-        return np.fft.ifft(chat)
     chat = np.zeros(N, dtype=complex)
+    if complex_field:
+        # one (re, im) pair per mode n = -n_max .. n_max, drawn in that order
+        pairs = rng.standard_normal((2 * n_max + 1, 2))
+        chat[np.arange(-n_max, n_max + 1) % N] = pairs[:, 0] + 1j * pairs[:, 1]
+        return np.fft.ifft(chat)
     if not zero_mean:
         chat[0] = rng.standard_normal()
-    for n in range(1, n_max + 1):
-        coef = rng.standard_normal() + 1j * rng.standard_normal()
-        chat[n] = coef
-        chat[-n] = np.conj(coef)
+    # one (re, im) pair per mode n = 1 .. n_max; mode -n is its conjugate
+    pairs = rng.standard_normal((n_max, 2))
+    n = np.arange(1, n_max + 1)
+    chat[n] = pairs[:, 0] + 1j * pairs[:, 1]
+    chat[-n] = np.conj(chat[n])
     return np.fft.ifft(chat).real
 
 

@@ -19,8 +19,6 @@ spectra.  Two matrices represent them:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,6 +26,7 @@ import numpy as np
 
 from .elliptic import Modulus, complete_K, jacobi_sn_cn_dn
 from .errors import AccuracyError, DomainError
+from .output import write_csv, write_json
 from .wavefamily import DnoidalWave
 
 __all__ = [
@@ -109,21 +108,14 @@ class HillSpectrum:
     N: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"])
-            for i, lam in enumerate(self.eigenvalues):
-                writer.writerow([i, f"{lam:.17g}"])
+        write_csv(path, ["index", "eigenvalue"], enumerate(self.eigenvalues))
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "boundary": self.boundary,
             "N": self.N,
             "eigenvalues": [float(v) for v in self.eigenvalues],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        })
 
 
 def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:

@@ -9,8 +9,6 @@ zero-mean flux profile varphi = c psi - d0.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from .elliptic import Modulus, complete_E, complete_K, dK_dk, jacobi_sn_cn_dn
 from .errors import DomainError, NoSolutionError
+from .output import write_csv, write_json
 
 __all__ = [
     "WaveParams",
@@ -321,17 +320,10 @@ class FamilyTable:
         return np.array([row[name] for row in self.rows])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_TABLE_FIELDS)
-            for row in self.rows:
-                writer.writerow([f"{row[f]:.17g}" for f in _TABLE_FIELDS])
+        write_csv(path, _TABLE_FIELDS, ([row[f] for f in _TABLE_FIELDS] for row in self.rows))
 
     def to_json(self, path) -> None:
-        payload = [{f: row[f] for f in _TABLE_FIELDS} for row in self.rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        write_json(path, [{f: row[f] for f in _TABLE_FIELDS} for row in self.rows])
 
 
 def family_sweep(L: float, c: float, nu_grid) -> FamilyTable:
@@ -357,4 +349,6 @@ def family_sweep(L: float, c: float, nu_grid) -> FamilyTable:
             raise AssertionError(f"eta2 chain not strictly decreasing at nu={cur['nu']}")
         if not cur["k"] > prev["k"]:
             raise AssertionError(f"k chain not strictly increasing at nu={cur['nu']}")
+        if not cur["mass"] > prev["mass"]:
+            raise AssertionError(f"mass chain not strictly increasing at nu={cur['nu']}")
     return FamilyTable(L=L, c=c, rows=rows)

@@ -1,11 +1,15 @@
 """Exit-code contract, output formats, and config precedence of the CLI."""
 
 import filecmp
+import itertools
 import json
 
 import numpy as np
+import pytest
 
+from zakwave import wavefamily
 from zakwave.cli import main
+from zakwave.wavefamily import family_sweep
 
 
 def run(capsys, *argv):
@@ -106,8 +110,85 @@ def test_too_few_sweep_points_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_too_few_construct_samples_is_usage_error(tmp_path, capsys, samples):
+    out = tmp_path / "wave.csv"
+    code, stdout, err = run(capsys, "construct", "--L", "6.283185307179586",
+                            "--c", "0", "--nu", "1.0", "--samples", samples,
+                            "--out", str(out))
+    assert code == 1
+    assert "--samples" in err
+    assert "wave:" not in stdout
+    assert not out.exists()
+
+
+def test_falling_mass_chain_fails_sweep(monkeypatch, tmp_path, capsys):
+    # family_sweep itself checks the documented mass chain, so a falling
+    # mass raises there and the CLI reports it as a verdict failure
+    falling = itertools.count()
+    monkeypatch.setattr(wavefamily, "mass_integral", lambda w: -float(next(falling)))
+    with pytest.raises(AssertionError, match="mass chain"):
+        family_sweep(6.283185307179586, 0.0, np.geomspace(0.6, 5.0, 4))
+    out = tmp_path / "family.csv"
+    code, _, err = run(capsys, "sweep", "--L", "6.283185307179586",
+                       "--c", "0", "--nu-min", "0.6", "--nu-max", "5.0",
+                       "--points", "4", "--out", str(out))
+    assert code == 3
+    assert "mass chain not strictly increasing" in err
+
+
 # --------------------------------------------------------------------------
 # outputs
+
+def _strict_json(path):
+    """JSON as the standard defines it: -Infinity, Infinity and NaN raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+STD_WAVE_ARGS = ["--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2"]
+SERIES_HEADER = "t,E,Q1,Q2,B,rho_nu,y_star,theta_star,dist_v,dist_V"
+COMMANDS = {
+    "construct": (["construct", *STD_WAVE_ARGS], "x,phi,psi,varphi,phi_prime"),
+    "sweep": (["sweep", "--L", "6.283185307179586", "--c", "0", "--nu-min", "0.6",
+               "--nu-max", "5.0", "--points", "4"], "nu,eta2,eta1,k,omega,d0,mass"),
+    "spectrum-L3": (["spectrum", "--operator", "L3", *STD_WAVE_ARGS], "index,eigenvalue"),
+    "spectrum-lame": (["spectrum", "--operator", "lame", *STD_WAVE_ARGS], "gap_lo,gap_hi"),
+    "evolve": (["evolve", *STD_WAVE_ARGS, "--t-end", "0.05"], SERIES_HEADER),
+    "stability": (["stability", *STD_WAVE_ARGS, "--delta", "1e-3", "--seed", "1",
+                   "--t-end", "0.05"], SERIES_HEADER),
+    "solitary": (["solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
+                  "--seed", "1", "--t-end", "0.05"], SERIES_HEADER),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_writes_the_requested_format(tmp_path, capsys, command, fmt):
+    argv, header = COMMANDS[command]
+    out = tmp_path / f"out.{fmt}"
+    code, _, err = run(capsys, *argv, "--format", fmt, "--out", str(out))
+    assert code == 0, err
+    if fmt == "json":
+        _strict_json(out)
+    else:
+        assert out.read_text().splitlines()[0] == header
+
+
+def test_lame_json_holds_gap_columns_as_strict_json(tmp_path, capsys):
+    out = tmp_path / "lame.json"
+    code, _, _ = run(capsys, "spectrum", "--operator", "lame", *STD_WAVE_ARGS,
+                     "--format", "json", "--out", str(out))
+    assert code == 0
+    payload = _strict_json(out)
+    assert set(payload) == {"gap_lo", "gap_hi"}
+    assert len(payload["gap_lo"]) == len(payload["gap_hi"]) == 10
+    # the semi-infinite interval (-inf, edge0) has no finite lower end
+    assert payload["gap_lo"][0] is None
+    assert all(lo < hi for lo, hi in zip(payload["gap_lo"][1:], payload["gap_hi"][1:]))
+
 
 def test_construct_csv_header(tmp_path, capsys):
     out = tmp_path / "wave.csv"

@@ -760,3 +760,34 @@ def test_band_limited_perturbation_properties():
     assert abs(np.mean(g)) <= 1e-14
     h = band_limited_perturbation(rng, grid, 8, complex_field=True)
     assert np.iscomplexobj(h)
+
+
+def _loop_perturbation(rng, grid, n_max, complex_field=False, zero_mean=False):
+    """band_limited_perturbation as it was first written, one scalar draw
+    at a time: the reference for the stream it must keep consuming."""
+    N = grid.N
+    chat = np.zeros(N, dtype=complex)
+    if complex_field:
+        for n in range(-n_max, n_max + 1):
+            chat[n % N] = rng.standard_normal() + 1j * rng.standard_normal()
+        return np.fft.ifft(chat)
+    if not zero_mean:
+        chat[0] = rng.standard_normal()
+    for n in range(1, n_max + 1):
+        coef = rng.standard_normal() + 1j * rng.standard_normal()
+        chat[n] = coef
+        chat[-n] = np.conj(coef)
+    return np.fft.ifft(chat).real
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12345])
+@pytest.mark.parametrize("n_max", [0, 1, 8, 32, 64])
+def test_band_limited_perturbation_matches_scalar_draws(seed, n_max):
+    grid = GridSpec(L=10.0, N=128)
+    for kw in ({}, {"zero_mean": True}, {"complex_field": True}):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # two fields in a row: the second starts where the first left the stream
+        for _ in range(2):
+            got = band_limited_perturbation(rng, grid, n_max, **kw)
+            ref = _loop_perturbation(ref_rng, grid, n_max, **kw)
+            assert np.array_equal(got, ref), (kw, n_max)
