@@ -45,6 +45,7 @@ from .dynamics import (
     invariants,
     orbital_distance,
     q1_paper_form,
+    shift_distance,
     solitary_experiment,
     stability_experiment,
     stationarity_check,

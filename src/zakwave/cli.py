@@ -177,6 +177,8 @@ def cmd_sweep(args) -> int:
     _require(args, ["L", "c", "nu-min", "nu-max"])
     if args.points < 2:
         _usage_error(f"--points must be at least 2, got {args.points}")
+    if args.nu_max <= args.nu_min:
+        _usage_error(f"--nu-max must exceed --nu-min, got {args.nu_min} and {args.nu_max}")
     if args.nu_min <= nu_threshold(args.L):
         raise DomainError(
             f"nu_min={args.nu_min} <= 2*pi^2/L^2={nu_threshold(args.L)}"

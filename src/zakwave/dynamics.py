@@ -97,9 +97,6 @@ class FieldState:
     V: np.ndarray
     u: np.ndarray
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.v.copy(), self.V.copy(), self.u.copy())
-
 
 @dataclass(frozen=True)
 class ZakInvariants:

@@ -10,7 +10,7 @@ zero-mean flux profile varphi = c psi - d0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "ode_residuals",
     "mass_integral",
     "mass_derivative",
+    "nu_threshold",
     "solitary_wave",
     "family_sweep",
 ]
@@ -145,7 +146,7 @@ class DnoidalWave:
 
     params: WaveParams
     modulus: Modulus
-    EK_ratio: float = field(default=0.0)  # E(k)/K(k), cached for varphi
+    EK_ratio: float  # E(k)/K(k), cached for varphi
 
     # --- elliptic building blocks -------------------------------------
     def _arg(self, xs):
@@ -249,15 +250,17 @@ def mass_integral(w: DnoidalWave) -> float:
     return 8.0 * p.alpha * complete_K(w.modulus) * complete_E(w.modulus) / p.L
 
 
-def mass_derivative(L: float, c: float, nu: float, h: float | None = None) -> float:
-    """Central finite difference of mass_integral in nu (positive on the family)."""
-    if h is None:
-        h = 1e-4 * nu
-    if nu - h <= nu_threshold(L):
-        raise DomainError("finite-difference stencil leaves the admissible nu interval")
-    mp = mass_integral(build_wave(L, c, nu + h))
-    mm = mass_integral(build_wave(L, c, nu - h))
-    return (mp - mm) / (2.0 * h)
+def mass_derivative(L: float, c: float, nu: float) -> float:
+    """dM/dnu of M = int_0^L phi^2 at fixed (L, c), in closed form (positive on the family).
+
+    Along the family nu(k) = 4 K^2 (2 - k^2) / L^2, free of c, and
+    M(k) = 8 alpha K E / L with dE/dk = (E - K)/k, so dM/dnu is
+    (dM/dk) / (dnu/dk) = alpha L (K' E + K (E - K)/k) / (K (K' (2 - k^2) - k K)).
+    """
+    w = build_wave(L, c, nu)
+    m, k = w.modulus, w.modulus.k
+    K, E, dK = complete_K(m), complete_E(m), dK_dk(m)
+    return w.params.alpha * L * (dK * E + K * (E - K) / k) / (K * (dK * (2.0 - k * k) - k * K))
 
 
 @dataclass(frozen=True)

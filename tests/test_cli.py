@@ -110,6 +110,20 @@ def test_too_few_sweep_points_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nu_min,nu_max", [("5", "0.6"), ("1", "1")])
+def test_reversed_or_empty_nu_range_is_usage_error(tmp_path, capsys, nu_min, nu_max):
+    # a range that does not increase is a mistyped command, not a failed
+    # monotonicity verdict
+    out = tmp_path / "family.csv"
+    code, stdout, err = run(capsys, "sweep", "--L", "6.2832", "--c", "0",
+                            "--nu-min", nu_min, "--nu-max", nu_max, "--out", str(out))
+    assert code == 1
+    assert "--nu-max must exceed --nu-min" in err
+    assert "verdict" not in err
+    assert "rows" not in stdout
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_too_few_construct_samples_is_usage_error(tmp_path, capsys, samples):
     out = tmp_path / "wave.csv"

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipk
 
+from zakwave import wavefamily
 from zakwave.elliptic import Modulus, complete_E, complete_K
 from zakwave.errors import DomainError, NoSolutionError
 from zakwave.wavefamily import (
+    DnoidalWave,
     build_wave,
     family_sweep,
     mass_derivative,
@@ -175,6 +177,12 @@ def test_varphi_zero_mean(wave_std):
     assert abs(mean) <= 1e-10
 
 
+def test_dnoidal_wave_requires_ek_ratio(wave_std):
+    # varphi's zero mean rests on E/K; a silent default gave a biased profile
+    with pytest.raises(TypeError, match="EK_ratio"):
+        DnoidalWave(params=wave_std.params, modulus=wave_std.modulus)
+
+
 def test_phi_prime_matches_finite_difference(wave_std):
     xs = np.linspace(0.3, 5.0, 33)
     h = 1e-6
@@ -222,16 +230,83 @@ def test_mass_monotone_in_modulus():
     assert ks == sorted(ks) and ms == sorted(ms)
 
 
-def test_mass_derivative_positive_and_second_order():
-    L, c, nu = 2.0 * math.pi, 0.0, 1.0
-    d = mass_derivative(L, c, nu)
-    assert d > 0.0
-    # Richardson: halving h shrinks the stencil error by ~4
-    h = 1e-3 * nu
-    ref = mass_derivative(L, c, nu, h=1e-6 * nu)
-    e1 = abs(mass_derivative(L, c, nu, h=h) - ref)
-    e2 = abs(mass_derivative(L, c, nu, h=h / 2.0) - ref)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.2)
+# the (L, c, nu) grid of the closed-form checks; c L / (4 pi) is not an
+# integer for most of these (L, c), so the builds silence the carrier warning
+_SLOPE_LS = (2.0 * math.pi, 10.0, 20.0, 8.0 * math.pi)
+_SLOPE_CS = (0.0, 0.5, -0.5)
+
+
+def _slope_grid():
+    for L in _SLOPE_LS:
+        thr = nu_threshold(L)
+        for c in _SLOPE_CS:
+            for nu in np.geomspace(1.01 * thr, 100.0 * thr, 20):
+                yield L, c, float(nu)
+
+
+def _quiet_slope(L, c, nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return mass_derivative(L, c, nu)
+
+
+def _central_difference(L, c, nu, h):
+    mp = mass_integral(_quiet_build(L, c, nu + h))
+    mm = mass_integral(_quiet_build(L, c, nu - h))
+    return (mp - mm) / (2.0 * h)
+
+
+def test_mass_derivative_positive_and_matches_richardson():
+    # Richardson extrapolation of the central difference at h and h/2 is
+    # fourth order, an oracle independent of the closed form
+    worst = 0.0
+    for L, c, nu in _slope_grid():
+        d = _quiet_slope(L, c, nu)
+        assert d > 0.0, (L, c, nu)
+        h = 1e-3 * nu
+        rich = (4.0 * _central_difference(L, c, nu, h / 2.0)
+                - _central_difference(L, c, nu, h)) / 3.0
+        worst = max(worst, abs(d - rich) / rich)
+    assert worst <= 5e-9
+
+
+def test_mass_derivative_nu_of_k_identity():
+    # the period constraint with eta1^2 + eta2^2 = 2 nu alpha and
+    # eta2 = k' eta1 gives nu(k) = 4 K^2 (2 - k^2) / L^2, free of c
+    for L, c, nu in _slope_grid():
+        m = _quiet_build(L, c, nu).modulus
+        k, K = m.k, complete_K(m)
+        assert 4.0 * K * K * (2.0 - k * k) / L**2 == pytest.approx(nu, rel=1e-11)
+
+
+def test_mass_derivative_solitary_limit():
+    # M -> 4 alpha sqrt(nu), the sech mass, as the period grows
+    for L in _SLOPE_LS:
+        nu = 100.0 * nu_threshold(L)
+        for c in _SLOPE_CS:
+            expected = 2.0 * (1.0 - c * c) / math.sqrt(nu)
+            assert _quiet_slope(L, c, nu) == pytest.approx(expected, rel=1e-12)
+
+
+def test_mass_derivative_threshold_limit():
+    # dM/dnu = alpha L / 3 (1 - (nu/threshold - 1)/6 + ...) near the threshold
+    for L in _SLOPE_LS:
+        nu = nu_threshold(L) * (1.0 + 1e-6)
+        for c in _SLOPE_CS:
+            expected = (1.0 - c * c) * L / 3.0
+            assert _quiet_slope(L, c, nu) == pytest.approx(expected, rel=1e-6)
+
+
+def test_mass_derivative_builds_one_wave(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_wave(*args)
+
+    monkeypatch.setattr(wavefamily, "build_wave", counted)
+    wavefamily.mass_derivative(2.0 * math.pi, 0.0, 1.0)
+    assert calls == [(2.0 * math.pi, 0.0, 1.0)]
 
 
 def test_mass_derivative_chain_rule_oracle():
@@ -253,11 +328,17 @@ def test_mass_derivative_chain_rule_oracle():
     assert mass_derivative(L, c, nu) == pytest.approx(oracle, rel=1e-4)
 
 
-def test_mass_derivative_stencil_domain_error():
+def test_mass_derivative_below_threshold_is_no_solution():
     L = 2.0 * math.pi
-    nu = nu_threshold(L) * (1.0 + 1e-6)
-    with pytest.raises(DomainError):
-        mass_derivative(L, 0.0, nu, h=nu_threshold(L))
+    for nu in (nu_threshold(L), 0.5 * nu_threshold(L)):
+        with pytest.raises(NoSolutionError):
+            mass_derivative(L, 0.0, nu)
+
+
+def test_mass_derivative_finite_next_to_threshold():
+    L = 2.0 * math.pi
+    d = mass_derivative(L, 0.0, nu_threshold(L) * (1.0 + 1e-6))
+    assert math.isfinite(d) and d > 0.0
 
 
 # --------------------------------------------------------------------------
