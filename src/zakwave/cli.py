@@ -1,9 +1,10 @@
 """Command-line front end: wave construction, family sweeps, Hill spectra,
 and evolution / stability experiments.
 
-Exit codes: 0 success, 1 usage error, 2 domain violation, 3 verdict
-failure, 4 blow-up during time integration.  An optional JSON config file
-supplies parameter defaults; explicit command-line flags override it.
+Exit codes: 0 success, 1 usage error, 2 domain violation or a spectrum
+not converged at the requested --N, 3 verdict failure, 4 blow-up during
+time integration.  An optional JSON config file supplies parameter
+defaults; explicit command-line flags override it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .dynamics import solitary_experiment, stability_experiment
-from .errors import BlowUpError, DomainError
+from .errors import AccuracyError, BlowUpError, DomainError
 from .output import fmt, write_csv, write_json
 from .spectral import (
     hill_L3,
@@ -153,10 +154,9 @@ def _load_wave_args(args):
 # construct
 
 def cmd_construct(args) -> int:
-    _require(args, ["L", "c", "nu"])
     if args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
-    w = build_wave(args.L, args.c, args.nu)
+    w = _load_wave_args(args)
     p = w.params
     xs = np.arange(args.samples) * p.L / args.samples
 
@@ -272,7 +272,7 @@ def cmd_spectrum(args) -> int:
 # --------------------------------------------------------------------------
 # evolution commands
 
-def _report_record(rec) -> None:
+def _report_record(rec, args) -> int:
     drift = lambda a: np.max(np.abs(a - a[0])) / max(abs(a[0]), 1e-30)
     print(f"steps saved: {len(rec.times)}, t_end={fmt(rec.times[-1])}")
     print(f"relative drift: E={fmt(drift(rec.E))} Q1={fmt(drift(rec.Q1))} "
@@ -280,37 +280,32 @@ def _report_record(rec) -> None:
     db = rec.delta_B()
     print(f"deltaB spread: {fmt(float(np.max(np.abs(db - db[0]))))}")
     print(f"sup rho_nu: {fmt(float(np.max(rec.rho_nu)))}")
-
-
-def cmd_evolve(args) -> int:
-    w = _load_wave_args(args)
-    # delta = 0 starts from the exact wave state
-    rec = stability_experiment(w, delta=0.0, t_end=args.t_end, dt=args.dt, N=args.N)
-    _report_record(rec)
     _write(rec, args)
     return EXIT_OK
+
+
+def _require_seed(args) -> None:
+    if args.seed < 0:
+        _usage_error(f"--seed must be non-negative, got {args.seed}")
 
 
 def cmd_stability(args) -> int:
+    """A seeded perturbed run; `evolve` is this command at delta 0, seed 0."""
     _require(args, ["delta", "seed"])
+    _require_seed(args)
     w = _load_wave_args(args)
-    rec = stability_experiment(
+    return _report_record(stability_experiment(
         w, delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed,
         respect_mean_condition=args.respect_mean_condition, N=args.N,
-        renormalize_q2=args.renormalize_q2)
-    _report_record(rec)
-    _write(rec, args)
-    return EXIT_OK
+        renormalize_q2=args.renormalize_q2), args)
 
 
 def cmd_solitary(args) -> int:
     _require(args, ["omega", "c", "delta", "seed"])
-    rec = solitary_experiment(
+    _require_seed(args)
+    return _report_record(solitary_experiment(
         omega=args.omega, c=args.c, box_factor=args.box_factor,
-        delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed, N=args.N)
-    _report_record(rec)
-    _write(rec, args)
-    return EXIT_OK
+        delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed, N=args.N), args)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wave_flags(sp, with_wave_file=True)
     _add_run_flags(sp)
     _add_io_flags(sp)
-    sp.set_defaults(func=cmd_evolve)
+    # delta = 0 starts from the exact wave state; the rest are stability's defaults
+    sp.set_defaults(func=cmd_stability, delta=0.0, seed=0, respect_mean_condition=True,
+                    renormalize_q2=False)
 
     sp = sub.add_parser("stability", help="seeded perturbed stability run")
     _add_wave_flags(sp, with_wave_file=True)
@@ -421,6 +418,9 @@ def main(argv=None) -> int:
         return EXIT_BLOWUP
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except AccuracyError as exc:
+        print(f"accuracy error: {exc} (try a larger --N)", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -580,8 +580,9 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  At each save every
     diagnostic is called once on the (B, N) fields of the whole batch (one
-    `shift_distance` on the stacked (2B, N) v and V) and writes one row of
-    a preallocated (n_saves, B) array per series; record i holds column i.
+    `shift_distance` on the stacked (2B, N) v and V) and appends one
+    (n_series, B) row; the rows stack into one (n_saves, B) array per
+    series after the last step, and record i holds column i.
     Steps and diagnostics act row by row, so a member's record is bitwise
     the one it gets in a batch of one.  `metadata[i]` seeds the metadata of
     record i.  Blow-up is judged per member, against that member's initial
@@ -621,13 +622,10 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     acoustic_m = _modes(acoustic_ref, grid)
     profile_m = _profile_modes(wave, nu, grid)
 
-    # the initial state, every save_every-th step and the last step
-    n_saves = n_steps // save_every + 1 + (n_steps % save_every != 0)
-    series = {name: np.empty((n_saves, n_members)) for name in _SERIES}
-    n_saved = 0
+    # one row per save: the initial state, every save_every-th step and the last step
+    rows = []
 
     def record(s):
-        nonlocal n_saved
         ux = _derivative(s.u, grid)
         inv = invariants(s, grid, ux=ux)
         rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t,
@@ -635,11 +633,9 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
         dist, _ = shift_distance(np.concatenate((s.v, s.V)), acoustic_ref, grid,
                                  g_modes=acoustic_m)
         q1p = q1_paper_form(s, grid, ux=ux)
-        row = (s.t, inv.E, inv.Q1, inv.Q2, inv.E - c * inv.Q1 - omega * inv.Q2,
-               rho, ys, th, dist[:n_members], dist[n_members:], q1p.real, q1p.imag)
-        for name, val in zip(_SERIES, row):
-            series[name][n_saved] = val
-        n_saved += 1
+        rows.append(np.stack((np.full(n_members, s.t), inv.E, inv.Q1, inv.Q2,
+                              inv.E - c * inv.Q1 - omega * inv.Q2, rho, ys, th,
+                              dist[:n_members], dist[n_members:], q1p.real, q1p.imag)))
 
     record(ev.to_physical(spec, t0))
     for step in range(1, n_steps + 1):
@@ -656,7 +652,7 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
             if blown.any():
                 raise BlowUpError(t, member=int(np.argmax(blown)))
             record(saved)
-    assert n_saved == n_saves, f"{n_saved} of {n_saves} save rows filled"
+    series = dict(zip(_SERIES, np.stack(rows, axis=1)))
 
     common = {"L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
               "c": c, "omega": omega, "nu": nu, "B_wave": b_wave}
@@ -668,6 +664,8 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
 def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,
                              respect_mean_condition: bool,
                              renormalize_q2: bool) -> FieldState:
+    if not math.isfinite(delta):
+        raise DomainError(f"delta={delta} must be finite")
     c, omega, nu = _wave_scalars(wave)
     base = wave_state(wave, grid, t=0.0)
     if delta == 0.0:
@@ -727,7 +725,7 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                         dt: float | None = None, seed: int = 0, N: int = 1024,
                         save_every: int | None = None) -> ExperimentRecord:
     """Solitary-wave run on a torus large enough that tails are below 1e-14."""
-    if box_factor < 80.0:
+    if not box_factor >= 80.0:
         raise DomainError("box_factor must be >= 80 so wrapped tails stay < 1e-14")
     sw = solitary_wave(omega, c)
     L = box_factor / math.sqrt(-4.0 * omega - c * c)

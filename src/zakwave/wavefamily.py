@@ -99,6 +99,11 @@ def solve_eta2(L: float, c: float, nu: float, rtol: float = 1e-12) -> float:
     then Newton steps with the analytic derivative polish the root;
     any Newton step leaving the bracket falls back to bisection.
     """
+    if not (math.isfinite(L) and L > 0.0):
+        raise DomainError(f"period L={L} must be finite and positive")
+    for name, val in (("c", c), ("nu", nu)):
+        if not math.isfinite(val):
+            raise DomainError(f"{name}={val} must be finite")
     alpha = 1.0 - c * c
     if alpha <= 0.0:
         raise DomainError(f"speed c={c} requires 1 - c^2 > 0")
@@ -301,9 +306,9 @@ class SolitaryWave:
 
 
 def solitary_wave(omega: float, c: float) -> SolitaryWave:
-    if 4.0 * omega + c * c >= 0.0:
+    if not 4.0 * omega + c * c < 0.0:
         raise DomainError(f"solitary wave needs 4*omega + c^2 < 0, got {4 * omega + c * c}")
-    if 1.0 - c * c <= 0.0:
+    if not 1.0 - c * c > 0.0:
         raise DomainError(f"solitary wave needs 1 - c^2 > 0, got {1 - c * c}")
     return SolitaryWave(omega=omega, c=c)
 

@@ -3,13 +3,16 @@
 import filecmp
 import itertools
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zakwave import wavefamily
 from zakwave.cli import main
-from zakwave.wavefamily import family_sweep
+from zakwave.wavefamily import build_wave, family_sweep
 
 
 def run(capsys, *argv):
@@ -152,6 +155,52 @@ def test_falling_mass_chain_fails_sweep(monkeypatch, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
+def test_unconverged_lame_spectrum_is_accuracy_error(capsys):
+    # at nu=5 the band edges at N/8 modes disagree with the N/4 check
+    lame = ("spectrum", "--operator", "lame", "--L", "25.132741228718345",
+            "--c", "0.5", "--nu", "5")
+    code, _, err = run(capsys, *lame)
+    assert code == 2
+    assert "accuracy error" in err and "--N" in err
+    assert "Traceback" not in err
+    code, _, err = run(capsys, *lame, "--N", "1024")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", *STD_WAVE, "--delta", "1e-3"),
+    ("solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3"),
+], ids=["stability", "solitary"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv, "--seed", "-1", "--t-end", "0.05")
+    assert code == 1
+    assert "--seed" in err
+    assert "Traceback" not in err
+
+
+RUN_FLAGS = ("--seed", "1", "--t-end", "0.05")
+
+
+@pytest.mark.parametrize("named,argv", [
+    ("delta=nan", ("stability", *STD_WAVE, "--delta", "nan", *RUN_FLAGS)),
+    ("delta=nan", ("solitary", "--omega", "-1", "--c", "0.5", "--delta", "nan", *RUN_FLAGS)),
+    ("box_factor", ("solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
+                    "--box-factor", "nan", *RUN_FLAGS)),
+    ("omega", ("solitary", "--omega", "nan", "--c", "0.5", "--delta", "1e-3", *RUN_FLAGS)),
+    ("L=-5", ("construct", "--L", "-5", "--c", "0.5", "--nu", "0.2")),
+    ("L=nan", ("construct", "--L", "nan", "--c", "0.5", "--nu", "0.2")),
+    ("L=inf", ("construct", "--L", "inf", "--c", "0.5", "--nu", "0.2")),
+    ("c=nan", ("construct", "--L", "25.132741228718345", "--c", "nan", "--nu", "0.2")),
+    ("nu=nan", ("construct", "--L", "25.132741228718345", "--c", "0.5", "--nu", "nan")),
+    ("nu=inf", ("construct", "--L", "25.132741228718345", "--c", "0.5", "--nu", "inf")),
+])
+def test_bad_input_is_domain_error_naming_the_parameter(capsys, named, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert "domain error" in err
+    assert named in err, err
+
+
 # outputs
 
 def _strict_json(path):
@@ -310,6 +359,18 @@ def test_stability_runs_are_byte_identical(tmp_path, capsys):
     assert filecmp.cmp(outs[0], outs[1], shallow=False)
 
 
+def test_evolve_is_stability_at_delta_zero_seed_zero(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        outs, stdouts = [tmp_path / f"evolve.{fmt}", tmp_path / f"stability.{fmt}"], []
+        for out, argv in zip(outs, (("evolve",), ("stability", "--delta", "0", "--seed", "0"))):
+            code, stdout, err = run(capsys, *argv, *STD_WAVE, "--t-end", "0.05",
+                                    "--format", fmt, "--out", str(out))
+            assert code == 0, err
+            stdouts.append(stdout)
+        assert filecmp.cmp(outs[0], outs[1], shallow=False), fmt
+        assert stdouts[0] == stdouts[1]
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 6.283185307179586, "c": 0.0, "nu": 1.0}))
@@ -418,3 +479,19 @@ def test_config_on_off_flag_takes_only_true_or_false(tmp_path, capsys):
                      "--out", str(direct))
     assert code == 0
     assert filecmp.cmp(outs[False], direct, shallow=False)
+
+
+# --------------------------------------------------------------------------
+# README
+
+def test_readme_cli_waves_build_without_warnings():
+    # every --L/--c/--nu triple the README's CLI block shows is a clean run:
+    # c L / (4 pi) an integer to rounding, so no carrier warning
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    triples = re.findall(r"--L (\S+) --c (\S+) --nu (\S+)", block)
+    assert triples
+    for triple in triples:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_wave(*map(float, triple))
