@@ -27,7 +27,7 @@ from .spectral import (
     instability_intervals,
     periodic_spectrum,
 )
-from .wavefamily import build_wave, family_sweep, nu_threshold, ode_residuals
+from .wavefamily import build_wave, family_sweep, ode_residuals
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,10 +179,6 @@ def cmd_sweep(args) -> int:
         _usage_error(f"--points must be at least 2, got {args.points}")
     if args.nu_max <= args.nu_min:
         _usage_error(f"--nu-max must exceed --nu-min, got {args.nu_min} and {args.nu_max}")
-    if args.nu_min <= nu_threshold(args.L):
-        raise DomainError(
-            f"nu_min={args.nu_min} <= 2*pi^2/L^2={nu_threshold(args.L)}"
-        )
     grid = np.geomspace(args.nu_min, args.nu_max, args.points)
     try:
         table = family_sweep(args.L, args.c, grid)

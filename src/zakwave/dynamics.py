@@ -489,11 +489,10 @@ def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec, *,
     return _per_member(np.ndim(f), np.sqrt(d_sq), np.mod(y, grid.L))
 
 
-def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec, *,
-                      g_modes: np.ndarray | None = None) -> float:
-    """||f(.+y) - g||_L2 for (N,) samples; `g_modes` as in `shift_distance`."""
-    gm = _modes(g, grid) if g_modes is None else g_modes
-    return math.sqrt(_distance_sq(_modes(f, grid)[None], gm, np.exp(1j * grid.k * y)))
+def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
+    """||f(.+y) - g||_L2 for (N,) samples."""
+    return math.sqrt(_distance_sq(_modes(f, grid)[None], _modes(g, grid),
+                                  np.exp(1j * grid.k * y)))
 
 
 # --------------------------------------------------------------------------
@@ -727,6 +726,8 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
     """Solitary-wave run on a torus large enough that tails are below 1e-14."""
     if not box_factor >= 80.0:
         raise DomainError("box_factor must be >= 80 so wrapped tails stay < 1e-14")
+    if not math.isfinite(box_factor):
+        raise DomainError(f"box_factor={box_factor} must be finite")
     sw = solitary_wave(omega, c)
     L = box_factor / math.sqrt(-4.0 * omega - c * c)
     grid = GridSpec(L=L, N=N)

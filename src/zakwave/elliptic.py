@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = ["Modulus", "complete_K", "complete_E", "dK_dk", "jacobi_sn_cn_dn"]
+
 _MAX_ITER = 64
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "NoSolutionError", "AccuracyError", "BlowUpError"]
+
 
 class DomainError(ValueError):
     """A parameter lies outside the region where the requested quantity exists."""

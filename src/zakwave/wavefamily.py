@@ -92,12 +92,13 @@ def _period_deriv(eta2: float, nu: float, alpha: float) -> float:
     )
 
 
-def solve_eta2(L: float, c: float, nu: float, rtol: float = 1e-12) -> float:
+def solve_eta2(L: float, c: float, nu: float) -> float:
     """Unique eta2 in (0, sqrt(nu alpha)) with period_of(eta2) = L.
 
     Safeguarded bracketed solve: bisection narrows the monotone bracket,
     then Newton steps with the analytic derivative polish the root;
-    any Newton step leaving the bracket falls back to bisection.
+    any Newton step leaving the bracket falls back to bisection.  The
+    root is accepted once |period_of(eta2) - L| <= 1e-12 L.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise DomainError(f"period L={L} must be finite and positive")
@@ -114,6 +115,7 @@ def solve_eta2(L: float, c: float, nu: float, rtol: float = 1e-12) -> float:
         )
     top = math.sqrt(nu * alpha)
     eps = 1e-12
+    tol = 1e-12 * L
     lo, hi = eps * top, (1.0 - eps) * top
     # period_of is decreasing: g(lo) > 0 > g(hi); expand lo toward 0 if needed
     g = lambda e: period_of(e, nu, alpha) - L
@@ -127,7 +129,7 @@ def solve_eta2(L: float, c: float, nu: float, rtol: float = 1e-12) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(200):
         gx = g(x)
-        if abs(gx) <= rtol * L:
+        if abs(gx) <= tol:
             return x
         if gx > 0.0:
             lo = x
@@ -140,7 +142,7 @@ def solve_eta2(L: float, c: float, nu: float, rtol: float = 1e-12) -> float:
         if x_new == x:
             break
         x = x_new
-    if abs(g(x)) <= rtol * L:
+    if abs(g(x)) <= tol:
         return x
     raise NoSolutionError(f"solve_eta2 stalled with residual {g(x):.3e}")
 

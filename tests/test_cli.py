@@ -4,6 +4,7 @@ import filecmp
 import itertools
 import json
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from zakwave import wavefamily
 from zakwave.cli import main
+from zakwave.dynamics import invariants, stability_experiment, wave_state
 from zakwave.wavefamily import build_wave, family_sweep
 
 
@@ -193,12 +195,27 @@ RUN_FLAGS = ("--seed", "1", "--t-end", "0.05")
     ("c=nan", ("construct", "--L", "25.132741228718345", "--c", "nan", "--nu", "0.2")),
     ("nu=nan", ("construct", "--L", "25.132741228718345", "--c", "0.5", "--nu", "nan")),
     ("nu=inf", ("construct", "--L", "25.132741228718345", "--c", "0.5", "--nu", "inf")),
+    ("box_factor", ("solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
+                    "--box-factor", "inf", *RUN_FLAGS)),
+    ("L=0.0", ("sweep", "--L", "0", "--c", "0", "--nu-min", "0.6", "--nu-max", "5")),
 ])
 def test_bad_input_is_domain_error_naming_the_parameter(capsys, named, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert "domain error" in err
     assert named in err, err
+
+
+def test_renormalize_q2_starts_at_the_wave_q2(tmp_path, capsys, wave_std, grid_std):
+    q2_wave = invariants(wave_state(wave_std, grid_std), grid_std).Q2
+    rec = stability_experiment(wave_std, 1e-2, t_end=0.05, seed=3, renormalize_q2=True)
+    assert rec.Q2[0] == pytest.approx(q2_wave, rel=1e-14, abs=0.0)
+    out = tmp_path / "run.csv"
+    code, _, err = run(capsys, "stability", *STD_WAVE, "--delta", "1e-2", "--seed", "3",
+                       "--t-end", "0.05", "--renormalize-q2", "--out", str(out))
+    assert code == 0, err
+    header, first = out.read_text().splitlines()[:2]
+    assert float(first.split(",")[header.split(",").index("Q2")]) == rec.Q2[0]
 
 
 # outputs
@@ -495,3 +512,24 @@ def test_readme_cli_waves_build_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_wave(*map(float, triple))
+
+
+def test_readme_cli_block_runs_clean(tmp_path, monkeypatch, capsys):
+    # every `zakwave` line of the README's CLI block, in order, from one
+    # directory (`construct` writes the wave.json later lines read); runs
+    # are cut to --t-end 0.05 unless the line gives its own --t-end
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("zakwave ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        if argv[0] in ("evolve", "stability", "solitary") and "--t-end" not in argv:
+            argv = [*argv, "--t-end", "0.05"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert err == "", (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
