@@ -179,6 +179,9 @@ def cmd_sweep(args) -> int:
         _usage_error(f"--points must be at least 2, got {args.points}")
     if args.nu_max <= args.nu_min:
         _usage_error(f"--nu-max must exceed --nu-min, got {args.nu_min} and {args.nu_max}")
+    for name, val in (("nu_min", args.nu_min), ("nu_max", args.nu_max)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise DomainError(f"{name}={val} must be finite and positive")
     grid = np.geomspace(args.nu_min, args.nu_max, args.points)
     try:
         table = family_sweep(args.L, args.c, grid)
@@ -358,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--operator", choices=("L3", "L4", "lame"), default="L3")
     sp.add_argument("--modes", type=int, default=8)
     sp.add_argument("--N", type=int, default=512,
-                    help="grid points for L3 and L4; for lame, the number of "
-                         "potential samples (band edges from N/8 Fourier modes, "
-                         "checked at N/4 on 2N samples)")
+                    help="potential samples; L3 and L4 solve on the (N-1)//4 "
+                         "Fourier modes each side of 0, so --modes is at most "
+                         "2*((N-1)//4)+1; lame takes band edges from N/8 modes, "
+                         "checked at N/4 on 2N samples")
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 

@@ -3,18 +3,17 @@
 The operators -d^2/dx^2 + shift + V(x) with L-periodic potential act on
 the Bloch modes exp(i kappa_n x), kappa_n = (2 pi n + theta) / L, with
 Floquet phase theta = 0 for periodic and theta = pi for semi-periodic
-spectra.  Two matrices represent them:
-
-- `grid_matrix`, on the uniform N-point grid of [0, L): the kinetic term
-  is a real symmetric Toeplitz matrix and V is diagonal, so the matrix is
-  assembled directly as T + diag(V + shift).  Its eigenvectors are grid
-  samples, which the L3/L4 verdicts and constrained minima read.
-- `fourier_matrix`, the truncated Floquet-Fourier-Hill matrix on the
-  modes |n| <= M (Deconinck & Kutz, J. Comput. Phys. 219, 2006).  The
-  potential is analytic, so its Fourier coefficients decay geometrically
-  and a few hundred modes give the low eigenvalues to rounding level.
-  The Lame band edges come from it, with convergence checked by doubling
-  M instead of N.
+spectra.  Every eigenproblem is solved on `fourier_matrix`, the truncated
+Floquet-Fourier-Hill matrix on the modes |n| <= M (Deconinck & Kutz,
+J. Comput. Phys. 219, 2006): V is analytic, so its Fourier coefficients
+decay geometrically and a few hundred modes give the low eigenvalues to
+rounding level.  The Lame band edges take M = N/8, checked by doubling M.
+The L3/L4 spectra and constrained minima take M = (N - 1) // 4 on the
+window of modes that kappa -> -kappa maps onto itself; with R its
+reversal, W = exp(i pi/4) (I - i R) / sqrt(2) makes K = W^H F W real
+symmetric, and one inverse FFT of W y turns an eigenvector y of K into
+real grid samples.  `grid_matrix`, the dense N-point grid operator, is
+the reference these solves are tested against.
 """
 
 from __future__ import annotations
@@ -149,12 +148,27 @@ def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
     return assemble(2.0 * K, 0.0, 6.0 * m.k**2 * sn**2, N)
 
 
+def _real_window(op: HillOperator, boundary: str):
+    """Mode integers n of the window at M = (N - 1) // 4 and K = W^H F W on it:
+    V is real, so R F R = conj(F) and K = Re(F) + (Im(F) R - R Im(F)) / 2."""
+    M = (op.N - 1) // 4
+    size = 2 * M + (boundary == "periodic")
+    F = op.fourier_matrix(boundary, M)[:size, :size]
+    return np.arange(-M, size - M), F.real + 0.5 * (F.imag[:, ::-1] - F.imag[::-1])
+
+
 def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    if not 1 <= m <= op.N:
-        raise DomainError(f"requested {m} modes from an N={op.N} discretization")
-    evals, evecs = np.linalg.eigh(op.grid_matrix(boundary))
+    n, K = _real_window(op, boundary)
+    if not 1 <= m <= n.size:
+        raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
+                          f"mode window holds at most {n.size}")
+    evals, evecs = np.linalg.eigh(K)
+    # samples of sum_n (W y)_n exp(i kappa_n x) / sqrt(N), real as (W y)_Rn = conj((W y)_n)
+    modes = np.zeros((m, op.N), dtype=complex)
+    modes[:, n % op.N] = np.exp(0.25j * math.pi) * (evecs[:, :m].T - 1j * evecs[::-1, :m].T)
+    phase = np.exp(1j * op._wavenumbers(boundary, 0) * op.L / op.N * np.arange(op.N))
+    vecs = (phase * np.fft.ifft(modes)).real * math.sqrt(op.N / 2)
     # sign convention: the largest-magnitude entry of each eigenvector is positive
-    vecs = evecs[:, :m].T
     peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
     vecs = np.where((peak < 0.0)[:, None], -vecs, vecs)
     return HillSpectrum(boundary=boundary, eigenvalues=evals[:m], eigenvectors=vecs, N=op.N)
@@ -243,11 +257,14 @@ def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
     cons = np.atleast_2d(np.asarray(constraints, dtype=float))
     if cons.shape[1] != op.N:
         raise DomainError("constraint vectors must live on the operator grid")
+    n, K = _real_window(op, "periodic")
+    # W^H of each constraint's Parseval modes on the window, up to a common scale
+    c = np.fft.fft(cons)[:, n % op.N]
+    cons = (np.exp(-0.25j * math.pi) * (c + 1j * c[:, ::-1])).real
     q, r = np.linalg.qr(cons.T, mode="complete")
     if np.min(np.abs(np.diag(r))) < 1e-10 * np.max(np.abs(r)):
         raise DomainError("constraint set is (numerically) rank deficient")
-    mat = op.grid_matrix("periodic")
     # orthonormal basis of the complement: columns of the full Q beyond the span
     z = q[:, cons.shape[0]:]
-    reduced = z.T @ mat @ z
+    reduced = z.T @ K @ z
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])

@@ -198,9 +198,16 @@ RUN_FLAGS = ("--seed", "1", "--t-end", "0.05")
     ("box_factor", ("solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
                     "--box-factor", "inf", *RUN_FLAGS)),
     ("L=0.0", ("sweep", "--L", "0", "--c", "0", "--nu-min", "0.6", "--nu-max", "5")),
+    ("nu_min=0.0", ("sweep", "--L", "8", "--c", "0", "--nu-min", "0", "--nu-max", "5")),
+    ("nu_min=-1.0", ("sweep", "--L", "8", "--c", "0", "--nu-min", "-1", "--nu-max", "5")),
+    ("nu_max=inf", ("sweep", "--L", "8", "--c", "0", "--nu-min", "0.6", "--nu-max", "inf")),
+    # N = 64 solves on the Fourier modes |n| <= 15: at most 31 eigenpairs
+    ("at most 31", ("spectrum", "--operator", "L3", *STD_WAVE, "--N", "64", "--modes", "32")),
 ])
 def test_bad_input_is_domain_error_naming_the_parameter(capsys, named, argv):
-    code, _, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert "domain error" in err
     assert named in err, err

@@ -2,6 +2,8 @@
 diagonalization oracle."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,23 @@ from zakwave.spectral import (
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SPECTRUM = {"periodic": periodic_spectrum, "semiperiodic": semiperiodic_spectrum}
+
+
 def _grid(L, N):
     return np.arange(N) * L / N
+
+
+def test_no_program_path_calls_grid_matrix():
+    # the dense grid matrix is the tests' oracle; every solve runs in mode space
+    files = sorted((ROOT / "src" / "zakwave").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert ROOT / "src" / "zakwave" / "spectral.py" in files
+    offenders = [f"{path.relative_to(ROOT)}:{i}"
+                 for path in files
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"grid_matrix\s*\(", line) and "def grid_matrix(" not in line]
+    assert offenders == []
 
 
 # --------------------------------------------------------------------------
@@ -81,13 +98,15 @@ def test_matrix_symmetric_and_constant_rayleigh(wave_std):
         wave_std.psi(_grid(op.L, op.N))), abs=1e-10)
 
 
-def test_spectrum_rejects_mode_counts_outside_one_to_N():
+def test_spectrum_rejects_mode_counts_outside_the_window():
+    # N = 32 solves on M = 7: the 15 periodic modes -7..7, the 14
+    # semi-periodic modes -7..6
     op = assemble(5.0, 0.0, np.zeros(32), 32)
-    for spec_fn in (periodic_spectrum, semiperiodic_spectrum):
-        for m in (0, -3, 33):
-            with pytest.raises(DomainError):
+    for spec_fn, size in ((periodic_spectrum, 15), (semiperiodic_spectrum, 14)):
+        for m in (0, -3, size + 1, 32):
+            with pytest.raises(DomainError, match=f"at most {size}"):
                 spec_fn(op, m)
-    assert periodic_spectrum(op, 32).eigenvectors.shape == (32, 32)
+        assert spec_fn(op, size).eigenvectors.shape == (size, 32)
 
 
 def _kappa(op, boundary):
@@ -215,13 +234,27 @@ def test_operators_annihilate_exact_kernels(wave_std):
     assert r3 <= 1e-6 * nu
 
 
-def test_eigen_residuals(wave_std):
-    op = hill_L3(wave_std, 256)
-    mat = op.grid_matrix("periodic")
-    spec = periodic_spectrum(op, 6)
+@pytest.mark.parametrize("builder,boundary,N", [
+    (hill_L3, "periodic", 256), (hill_L4, "periodic", 512),
+    (hill_L3, "semiperiodic", 512), (hill_L4, "semiperiodic", 512),
+], ids=["L3-periodic-256", "L4-periodic-512", "L3-semiperiodic-512", "L4-semiperiodic-512"])
+def test_eigen_residuals(wave_std, builder, boundary, N):
+    # the mode-space eigenpairs against the dense grid oracle
+    op = builder(wave_std, N)
+    mat = op.grid_matrix(boundary)
+    spec = SPECTRUM[boundary](op, 6)
+    lam_grid, vec_grid = np.linalg.eigh(mat)
+    assert np.max(np.abs(spec.eigenvalues - lam_grid[:6])) <= 2e-12
     norm = np.linalg.norm(mat, 2)
     for lam, vec in zip(spec.eigenvalues, spec.eigenvectors):
         assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-8 * norm
+    vecs = spec.eigenvectors
+    assert vecs.dtype == np.float64
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(6))) <= 1e-13
+    if builder is hill_L4 and boundary == "periodic":
+        # lambda1 and lambda2 nearly coincide: only their span is defined
+        proj = vecs[1:3].T @ vecs[1:3] - vec_grid[:, 1:3] @ vec_grid[:, 1:3].T
+        assert np.max(np.abs(proj)) <= 1e-10
 
 
 def test_spectral_convergence_under_doubling(wave_std):
