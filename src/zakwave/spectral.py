@@ -7,13 +7,19 @@ spectra.  Every eigenproblem is solved on `fourier_matrix`, the truncated
 Floquet-Fourier-Hill matrix on the modes |n| <= M (Deconinck & Kutz,
 J. Comput. Phys. 219, 2006): V is analytic, so its Fourier coefficients
 decay geometrically and a few hundred modes give the low eigenvalues to
-rounding level.  The Lame band edges take M = N/8, checked by doubling M.
-The L3/L4 spectra and constrained minima take M = (N - 1) // 4 on the
-window of modes that kappa -> -kappa maps onto itself; with R its
-reversal, W = exp(i pi/4) (I - i R) / sqrt(2) makes K = W^H F W real
-symmetric, and one inverse FFT of W y turns an eigenvector y of K into
-real grid samples.  `grid_matrix`, the dense N-point grid operator, is
-the reference these solves are tested against.
+rounding level.  Every potential built here is even about x = 0, so the
+matrix is real symmetric, and it commutes with the reflection that
+pairs kappa with -kappa (Magnus & Winkler, Hill's Equation, 1966).
+
+The L3/L4 spectra and constrained minima take M = (N - 1) // 4 and split
+the matrix into a cosine block and a sine block, each real symmetric
+Toeplitz-plus-Hankel: n = 0..M and n = 1..M for periodic spectra, the
+pairs n <-> -1 - n with n = 0..M-1 for semi-periodic ones.  Each block
+gets one `eigh`, and each eigenvector is a real cosine or sine series,
+sampled on the grid by one inverse FFT.  The Lame band edges take the
+whole matrix at M = N/8, unsplit (see `instability_intervals`), checked
+by doubling M.  `grid_matrix`, the dense N-point grid operator, is the
+reference these solves are tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +50,16 @@ __all__ = [
 ]
 
 
+# Largest relative odd part of a potential that `fourier_matrix` accepts.
+# A dnoidal potential's odd part is its period residual: dn repeats after
+# 2K sqrt(2 alpha) / eta1, which matches L to the 1e-12 tolerance of
+# `solve_eta2`, and a steep profile magnifies that.  L3/L4 potentials reach
+# 1.9e-12 on the README and standard sweep grids (N = 256..1024), 1.9e-11
+# on 400-point grids over the same nu ranges and 6.8e-11 out to nu = 200;
+# Lame potentials stay below 2e-16.
+EVEN_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class HillOperator:
     """Discretized -d^2/dx^2 + shift + V(x) on a uniform N-point grid of [0, L)."""
@@ -61,21 +77,27 @@ class HillOperator:
         return (2.0 * math.pi * n + theta) / self.L
 
     def fourier_matrix(self, boundary: str, M: int) -> np.ndarray:
-        """Hermitian Floquet-Fourier-Hill matrix on the modes n = -M..M.
+        """Real symmetric Floquet-Fourier-Hill matrix on the modes n = -M..M.
 
-        Entry (n, m) is vhat[n - m], with vhat = fft(V) / N, and the
-        diagonal adds kappa_n^2 + shift.  M < N/4, so every difference
+        Entry (n, m) is vhat[|n - m|], with vhat = rfft(V).real / N, and
+        the diagonal adds kappa_n^2 + shift.  M < N/4, so every difference
         |n - m| <= 2M is below the Nyquist index and no coefficient
-        aliases.  V is real, so vhat[-j] = conj(vhat[j]): the entries are
-        read from rfft and the matrix is exactly Hermitian.
+        aliases.  The potential must be even about x = 0, V[-j mod N] =
+        V[j]: its odd part, max |Im rfft(V)| / max |rfft(V)|, above
+        EVEN_TOL raises DomainError, since dropping it would move the
+        eigenvalues.
         """
         if not 1 <= M < self.N / 4:
             raise DomainError(f"M={M} modes need 1 <= M < N/4 = {self.N / 4}")
-        n = np.arange(-M, M + 1)
         vhat = np.fft.rfft(self.potential) / self.N
-        diff = n[:, None] - n[None, :]
-        mat = vhat[np.abs(diff)]
-        np.conjugate(mat, out=mat, where=diff < 0)
+        odd = np.max(np.abs(vhat.imag))
+        if odd > EVEN_TOL * np.max(np.abs(vhat)):
+            raise DomainError(
+                f"evenness check failed: the potential's odd part max|Im vhat| = "
+                f"{odd:.3g} exceeds {EVEN_TOL:g} x max|vhat|; the Hill solves need "
+                f"V(-x) = V(x) about x = 0")
+        n = np.arange(-M, M + 1)
+        mat = vhat.real[np.abs(n[:, None] - n[None, :])]
         mat[np.diag_indices(n.size)] += self._wavenumbers(boundary, n) ** 2 + self.shift
         return mat
 
@@ -118,6 +140,12 @@ class HillSpectrum:
 
 
 def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
+    """Hill operator on the samples V(j L / N), j = 0..N-1.
+
+    Every spectrum of it is solved on `fourier_matrix`, which needs V even
+    about x = 0 (V[-j mod N] = V[j]) to a relative odd part of EVEN_TOL =
+    1e-8 and raises DomainError naming the evenness check otherwise.
+    """
     samples = np.asarray(potential_samples, dtype=float)
     if N % 2 != 0 or N < 32:
         raise DomainError(f"N={N} must be even and >= 32")
@@ -148,30 +176,50 @@ def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
     return assemble(2.0 * K, 0.0, 6.0 * m.k**2 * sn**2, N)
 
 
-def _real_window(op: HillOperator, boundary: str):
-    """Mode integers n of the window at M = (N - 1) // 4 and K = W^H F W on it:
-    V is real, so R F R = conj(F) and K = Re(F) + (Im(F) R - R Im(F)) / 2."""
+def _parity_blocks(op: HillOperator, boundary: str):
+    """Cosine and sine blocks of fourier_matrix(boundary, M) at M = (N - 1) // 4.
+
+    Periodic: n = 0..M and n = 1..M, entries vhat[|a - b|] +/- vhat[a + b],
+    with row and column 0 of the cosine block scaled by 1/sqrt(2).
+    Semi-periodic: n = 0..M-1 paired with -1 - n, vhat[|a - b|] +/- vhat[a + b + 1].
+    """
     M = (op.N - 1) // 4
-    size = 2 * M + (boundary == "periodic")
-    F = op.fourier_matrix(boundary, M)[:size, :size]
-    return np.arange(-M, size - M), F.real + 0.5 * (F.imag[:, ::-1] - F.imag[::-1])
+    F = op.fourier_matrix(boundary, M)
+    if boundary == "periodic":
+        even = F[M:, M:] + F[M:, M::-1]
+        even[0] /= math.sqrt(2.0)
+        even[:, 0] /= math.sqrt(2.0)
+        return even, F[M + 1:, M + 1:] - F[M + 1:, M - 1::-1]
+    toeplitz, hankel = F[M:-1, M:-1], F[M:-1, M - 1::-1]
+    return toeplitz + hankel, toeplitz - hankel
 
 
 def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    n, K = _real_window(op, boundary)
-    if not 1 <= m <= n.size:
+    even, odd = _parity_blocks(op, boundary)
+    size = even.shape[0] + odd.shape[0]
+    if not 1 <= m <= size:
         raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
-                          f"mode window holds at most {n.size}")
-    evals, evecs = np.linalg.eigh(K)
-    # samples of sum_n (W y)_n exp(i kappa_n x) / sqrt(N), real as (W y)_Rn = conj((W y)_n)
-    modes = np.zeros((m, op.N), dtype=complex)
-    modes[:, n % op.N] = np.exp(0.25j * math.pi) * (evecs[:, :m].T - 1j * evecs[::-1, :m].T)
+                          f"mode window holds at most {size}")
+    lam_e, vec_e = np.linalg.eigh(even)
+    lam_o, vec_o = np.linalg.eigh(odd)
+    lam = np.concatenate([lam_e, lam_o])
+    order = np.argsort(lam, kind="stable")[:m]
+    is_even = order < lam_e.size
+    # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
+    # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
+    first_odd = 1 if boundary == "periodic" else 0
+    coef = np.zeros((m, op.N), dtype=complex)
+    coef[is_even, :lam_e.size] = math.sqrt(2.0) * vec_e[:, order[is_even]].T
+    coef[~is_even, first_odd:first_odd + lam_o.size] = (
+        -1j * math.sqrt(2.0) * vec_o[:, order[~is_even] - lam_e.size].T)
+    if boundary == "periodic":
+        coef[:, 0] /= math.sqrt(2.0)
     phase = np.exp(1j * op._wavenumbers(boundary, 0) * op.L / op.N * np.arange(op.N))
-    vecs = (phase * np.fft.ifft(modes)).real * math.sqrt(op.N / 2)
+    vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
     # sign convention: the largest-magnitude entry of each eigenvector is positive
     peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
     vecs = np.where((peak < 0.0)[:, None], -vecs, vecs)
-    return HillSpectrum(boundary=boundary, eigenvalues=evals[:m], eigenvectors=vecs, N=op.N)
+    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], eigenvectors=vecs, N=op.N)
 
 
 def periodic_spectrum(op: HillOperator, m: int) -> HillSpectrum:
@@ -217,10 +265,13 @@ def instability_intervals(m: Modulus, n_gaps: int = 10, N: int = 512):
 
     The first interval is the semi-infinite (-inf, lambda0); the finite
     gaps follow as (mu0, mu1), (lambda1, lambda2), (mu2, mu3), ...  The
-    band edges are the lowest eigenvalues of the truncated Fourier-Hill
-    matrix with M = N/8 modes on the N-sample potential; gap widths are
-    validated by the M = N/8 -> N/4 refinement on the 2N-sample potential,
-    and non-convergence raises AccuracyError.
+    band edges are the lowest eigenvalues of the real symmetric
+    Fourier-Hill matrix with M = N/8 modes on the N-sample potential,
+    solved whole with `eigvalsh`: the potential 6 k^2 sn^2 is even, but a
+    closed gap pairs an even with an odd edge, and the parity blocks can
+    return those bitwise equal, where the one solve keeps lo < hi.  Gap
+    widths are validated by the M = N/8 -> N/4 refinement on the 2N-sample
+    potential, and non-convergence raises AccuracyError.
     """
     if N < 512:
         raise DomainError("instability_intervals needs N >= 512")
@@ -257,14 +308,17 @@ def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
     cons = np.atleast_2d(np.asarray(constraints, dtype=float))
     if cons.shape[1] != op.N:
         raise DomainError("constraint vectors must live on the operator grid")
-    n, K = _real_window(op, "periodic")
-    # W^H of each constraint's Parseval modes on the window, up to a common scale
-    c = np.fft.fft(cons)[:, n % op.N]
-    cons = (np.exp(-0.25j * math.pi) * (c + 1j * c[:, ::-1])).real
+    even, odd = _parity_blocks(op, "periodic")
+    # each constraint's coordinates in the cosine and sine bases, up to a
+    # common scale: Re chat_n (chat_0 / sqrt(2) for n = 0) and -Im chat_n
+    chat = np.fft.fft(cons)[:, :even.shape[0]]
+    cons = np.concatenate([chat.real, -chat[:, 1:].imag], axis=1)
+    cons[:, 0] /= math.sqrt(2.0)
     q, r = np.linalg.qr(cons.T, mode="complete")
     if np.min(np.abs(np.diag(r))) < 1e-10 * np.max(np.abs(r)):
         raise DomainError("constraint set is (numerically) rank deficient")
     # orthonormal basis of the complement: columns of the full Q beyond the span
     z = q[:, cons.shape[0]:]
-    reduced = z.T @ K @ z
+    ze, zo = z[:even.shape[0]], z[even.shape[0]:]
+    reduced = ze.T @ even @ ze + zo.T @ odd @ zo
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])

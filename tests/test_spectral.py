@@ -3,6 +3,7 @@ diagonalization oracle."""
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from zakwave.spectral import (
     periodic_spectrum,
     semiperiodic_spectrum,
 )
+from zakwave.wavefamily import build_wave
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -184,6 +186,136 @@ def test_fourier_matrix_rejects_aliasing_mode_counts():
         with pytest.raises(DomainError):
             op.fourier_matrix("periodic", M)
     assert op.fourier_matrix("periodic", 15).shape == (31, 31)
+
+
+# --------------------------------------------------------------------------
+# even potentials: one real matrix, cosine and sine blocks
+
+# the README and standard sweep grids of the CLI
+FAMILY_GRIDS = [(6.2832, 0.0, np.geomspace(0.6, 5.0, 20)),
+                (8.0 * math.pi, 0.5, np.geomspace(0.05, 5.0, 20))]
+
+
+def _family_waves():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [build_wave(L, c, float(nu)) for L, c, grid in FAMILY_GRIDS for nu in grid]
+
+
+def _family_operators():
+    for w in _family_waves():
+        for N in (256, 512, 1024):
+            yield hill_L3(w, N)
+            yield hill_L4(w, N)
+        yield lame_operator(w.modulus, 512)
+        yield lame_operator(w.modulus, 1024)
+
+
+def test_fourier_matrix_is_real_for_every_family_wave():
+    # no complex eigensolve: every operator the CLI builds gives a float64
+    # matrix, and passes the evenness check with a factor 100 to spare
+    for op in _family_operators():
+        vhat = np.fft.rfft(op.potential)
+        assert np.max(np.abs(vhat.imag)) <= 1e-2 * spectral.EVEN_TOL * np.max(np.abs(vhat))
+        for boundary in ("periodic", "semiperiodic"):
+            F = op.fourier_matrix(boundary, (op.N - 1) // 4)
+            assert F.dtype == np.float64
+            assert np.array_equal(F, F.T)
+
+
+def test_non_even_potential_fails_the_evenness_check(wave_std):
+    L, N = wave_std.params.L, 512
+    xs = _grid(L, N)
+    odd = np.sin(2.0 * math.pi * xs / L)
+    # the same wave sampled half a grid cell off x = 0
+    shifted = 3.0 * wave_std.psi(xs + 0.5 * L / N)
+    for V in (odd, 1.0 + odd, shifted):
+        op = assemble(L, 0.2, V, N)
+        with pytest.raises(DomainError, match="evenness check"):
+            op.fourier_matrix("periodic", 64)
+        for solve in (lambda: periodic_spectrum(op, 3), lambda: semiperiodic_spectrum(op, 3),
+                      lambda: constrained_rayleigh_min(op, [np.ones(N)])):
+            with pytest.raises(DomainError, match="evenness check"):
+                solve()
+
+
+def _full_window(op, boundary):
+    M = (op.N - 1) // 4
+    size = 2 * M + (boundary == "periodic")
+    return op.fourier_matrix(boundary, M)[:size, :size]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "semiperiodic"])
+@pytest.mark.parametrize("operator", ["L3", "L4", "lame"])
+def test_parity_blocks_match_the_full_window(wave_std, operator, boundary):
+    builders = {"L3": lambda: hill_L3(wave_std, 512), "L4": lambda: hill_L4(wave_std, 512),
+                "lame": lambda: lame_operator(Modulus.from_k(0.5), 512)}
+    op = builders[operator]()
+    F = _full_window(op, boundary)
+    ref = np.linalg.eigvalsh(F)
+    got = SPECTRUM[boundary](op, F.shape[0]).eigenvalues
+    # the full solve's own rounding, about eps ||F||, is 1.2e-11 on the Lame
+    # window (||F|| = 5.6e4) and 2.2e-13 on the L3/L4 ones (||F|| = 1.0e3)
+    tol = np.maximum(1e-12 * np.maximum(1.0, np.abs(ref)),
+                     5.0 * np.finfo(float).eps * np.linalg.norm(F, 2))
+    assert np.all(np.abs(got - ref) <= tol)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.5, 0.8])
+def test_lame_parity_blocks_hold_the_closed_form(k):
+    # the cosine and sine blocks give rho0 < rho1 < rho2 closer than the
+    # full window's rounding
+    m = Modulus.from_k(k)
+    lam = periodic_spectrum(lame_operator(m, 512), 3).eigenvalues
+    assert np.max(np.abs(lam - lame_eigen_analytic(m))) <= 1e-13
+
+
+def _parity(vecs):
+    """+1 for even, -1 for odd grid vectors: v[-j mod N] = +/- v[j]."""
+    mirrored = vecs[:, (-np.arange(vecs.shape[1])) % vecs.shape[1]]
+    even = np.max(np.abs(mirrored - vecs), axis=1) <= 1e-12
+    odd = np.max(np.abs(mirrored + vecs), axis=1) <= 1e-12
+    assert np.all(even ^ odd)
+    return np.where(even, 1, -1)
+
+
+@pytest.mark.parametrize("builder", [hill_L3, hill_L4])
+def test_periodic_eigenvectors_are_even_or_odd(wave_std, wave_c0, builder):
+    for w in (wave_std, wave_c0):
+        op = builder(w, 512)
+        parity = _parity(periodic_spectrum(op, 2 * ((op.N - 1) // 4) + 1).eigenvectors)
+        # 128 cosines n = 0..127 and 127 sines n = 1..127
+        assert np.sum(parity == 1) == 128 and np.sum(parity == -1) == 127
+
+
+def test_kernels_are_the_lowest_odd_L3_and_even_L4_modes(wave_std, wave_c0):
+    for w in (wave_std, wave_c0):
+        xs = _grid(w.params.L, 512)
+        for builder, kernel, parity, index in ((hill_L3, w.phi_prime(xs), -1, 1),
+                                               (hill_L4, w.phi(xs), 1, 0)):
+            spec = periodic_spectrum(builder(w, 512), 6)
+            first = int(np.flatnonzero(_parity(spec.eigenvectors) == parity)[0])
+            assert first == index
+            align = abs(spec.eigenvectors[first] @ kernel) / np.linalg.norm(kernel)
+            assert align >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("builder", [hill_L3, hill_L4])
+def test_constrained_minimum_takes_constraints_of_mixed_parity(wave_std, builder):
+    # constraints with both a cosine and a sine part, against the dense grid
+    N = 256
+    w = wave_std
+    xs = _grid(w.params.L, N)
+    op = builder(w, N)
+    G = op.grid_matrix("periodic")
+    for cons in ([w.phi(xs - 0.3)], [w.phi(xs) + w.phi_prime(xs)],
+                 [w.phi(xs), np.sin(2.0 * math.pi * xs / w.params.L)
+                  + 0.5 * np.cos(4.0 * math.pi * xs / w.params.L)]):
+        cons = np.array(cons)
+        q, _ = np.linalg.qr(cons.T, mode="complete")
+        z = q[:, len(cons):]
+        ref = np.linalg.eigvalsh(z.T @ G @ z)[0]
+        assert abs(constrained_rayleigh_min(op, cons) - ref) <= 1e-11
 
 
 # --------------------------------------------------------------------------
