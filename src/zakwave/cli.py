@@ -272,10 +272,25 @@ def cmd_spectrum(args) -> int:
 # evolution commands
 
 def _report_record(rec, args) -> int:
-    drift = lambda a: np.max(np.abs(a - a[0])) / max(abs(a[0]), 1e-30)
+    """Print a run's summary and save its record.
+
+    The drift of a conserved series a is max|a - a(0)| / |a(0)|, except
+    where |a(0)| <= 1e-12 Q2(0): there a(0) is at rounding level (the Q1
+    of a c = 0 wave), the ratio would be noise over noise, and the
+    absolute drift max|a - a(0)| is printed, labelled `(absolute)`.  Q2,
+    the mass of u, is positive for any nonzero u.
+    """
+    floor = 1e-12 * abs(rec.Q2[0])
+
+    def drift(name):
+        a = getattr(rec, name)
+        change = np.max(np.abs(a - a[0]))
+        if abs(a[0]) <= floor:
+            return f"{name}(absolute)={fmt(change)}"
+        return f"{name}={fmt(change / abs(a[0]))}"
+
     print(f"steps saved: {len(rec.times)}, t_end={fmt(rec.times[-1])}")
-    print(f"relative drift: E={fmt(drift(rec.E))} Q1={fmt(drift(rec.Q1))} "
-          f"Q2={fmt(drift(rec.Q2))}")
+    print(f"relative drift: {drift('E')} {drift('Q1')} {drift('Q2')}")
     db = rec.delta_B()
     print(f"deltaB spread: {fmt(float(np.max(np.abs(db - db[0]))))}")
     print(f"sup rho_nu: {fmt(float(np.max(rec.rho_nu)))}")

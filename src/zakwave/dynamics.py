@@ -54,6 +54,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise DomainError(f"grid period L={self.L} must be finite and positive")
         if self.N % 2 != 0 or self.N < 64:
             raise DomainError(f"grid N={self.N} must be even and >= 64")
 
@@ -107,22 +109,14 @@ class ZakInvariants:
     Q2: float | np.ndarray
 
 
-def _wave_scalars(wave):
-    """(c, omega, nu) for either wave flavor."""
-    if isinstance(wave, DnoidalWave):
-        p = wave.params
-        return p.c, p.omega, p.nu
-    return wave.c, wave.omega, wave.nu
-
-
 def _wrapped(grid: GridSpec, shift: float = 0.0) -> np.ndarray:
     """Comoving coordinate x - shift wrapped to [-L/2, L/2)."""
     return np.mod(grid.xs - shift + 0.5 * grid.L, grid.L) - 0.5 * grid.L
 
 
-def wave_state(wave, grid: GridSpec, t: float = 0.0) -> FieldState:
+def wave_state(wave: DnoidalWave, grid: GridSpec, t: float = 0.0) -> FieldState:
     """Exact traveling-wave state sampled on the grid at time t."""
-    c, omega, _ = _wave_scalars(wave)
+    c, omega = wave.params.c, wave.params.omega
     # wrap the comoving coordinate so solitary profiles stay centered in-box;
     # the carrier uses the same wrapped coordinate so that its (generally
     # non-periodic) phase jump falls where the envelope tails vanish, not at
@@ -318,11 +312,11 @@ def q1_paper_form(s: FieldState, grid: GridSpec, *, ux: np.ndarray | None = None
     return grid.integrate(s.u * s.V + (ux * np.conj(s.u)).imag)
 
 
-def functional_B(s: FieldState, wave, grid: GridSpec) -> float:
+def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
     """Lyapunov functional B = E - c Q1 - omega Q2."""
-    c, omega, _ = _wave_scalars(wave)
+    p = wave.params
     inv = invariants(s, grid)
-    return inv.E - c * inv.Q1 - omega * inv.Q2
+    return inv.E - p.c * inv.Q1 - p.omega * inv.Q2
 
 
 # --------------------------------------------------------------------------
@@ -408,35 +402,36 @@ def _per_member(ndim: int, *values: np.ndarray):
     return values if ndim > 1 else tuple(float(v[0]) for v in values)
 
 
-def _profile_modes(wave, nu: float, grid: GridSpec) -> np.ndarray:
+def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
     """Stacked modes b = (phi', sqrt(nu) phi) of the profile, sampled on the
     coordinate wrapped to [-L/2, L/2), so non-periodic solitary tails are
     centered rather than truncated."""
     xi = _wrapped(grid)
     return np.stack((_modes(wave.phi_prime(xi), grid),
-                     math.sqrt(nu) * _modes(wave.phi(xi), grid)))
+                     math.sqrt(wave.params.nu) * _modes(wave.phi(xi), grid)))
 
 
-def _orbit_modes(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float,
+def _orbit_modes(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
                  b: np.ndarray | None = None):
     """Stacked modes a = (w', sqrt(nu) w) of the gauged field, shape
     (..., 2, N), and b = (phi', sqrt(nu) phi) of the profile (computed
     unless given), and the product g = sum a conj(b) with
     G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
-    c, _, _ = _wave_scalars(wave)
+    c, nu = wave.params.c, wave.params.nu
     # the gauge's phase seam tracks the antipode of x = c t instead of
     # cutting through the profile; for carrier-periodic waves (c L multiple
     # of 4 pi) the wrap changes nothing
     w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
     a = np.stack((1j * grid.k * w, math.sqrt(nu) * w), axis=-2)
     if b is None:
-        b = _profile_modes(wave, nu, grid)
+        b = _profile_modes(wave, grid)
     return a, b, np.sum(a * np.conj(b), axis=-2)
 
 
-def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 0.0,
+def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0,
                      *, profile_modes: np.ndarray | None = None):
-    """nu-weighted modulated distance of u to the wave orbit.
+    """nu-weighted modulated distance of u to the wave orbit, with c and nu
+    read from the wave (dnoidal or solitary).
 
     Applies the traveling gauge, correlates the Fourier modes of field and
     profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
@@ -447,7 +442,7 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
     so a caller that measures many fields against one wave samples and
     transforms the profile once.
     """
-    a, b, g = _orbit_modes(np.atleast_2d(u), wave, nu, grid, t, profile_modes)
+    a, b, g = _orbit_modes(np.atleast_2d(u), wave, grid, t, profile_modes)
     k = grid.k
     ys, e = _best_shift(g, k, grid)
     theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
@@ -458,10 +453,10 @@ def orbital_distance(u: np.ndarray, wave, nu: float, grid: GridSpec, t: float = 
     return _per_member(np.ndim(u), np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star)
 
 
-def stationarity_check(u: np.ndarray, wave, nu: float, y_star: float,
+def stationarity_check(u: np.ndarray, wave: DnoidalWave, y_star: float,
                        theta_star: float, grid: GridSpec, t: float = 0.0):
     """Gradient of Omega with respect to (y, theta) at the reported minimizer."""
-    _, _, g = _orbit_modes(u, wave, nu, grid, t)
+    _, _, g = _orbit_modes(u, wave, grid, t)
     k = grid.k
     # e^{i theta} G(y) and e^{i theta} G'(y)
     e = np.exp(1j * (theta_star + k * y_star))
@@ -537,8 +532,11 @@ _CSV_SERIES = _SERIES[:10]
 def band_limited_perturbation(rng: np.random.Generator, grid: GridSpec, n_max: int,
                               complex_field: bool = False,
                               zero_mean: bool = False) -> np.ndarray:
-    """Seeded random field with Fourier support |n| <= n_max (unnormalized)."""
+    """Seeded random field with Fourier support |n| <= n_max (unnormalized),
+    0 <= n_max < N/2: a wider support would fold onto the Nyquist mode."""
     N = grid.N
+    if not 0 <= n_max < N // 2:
+        raise DomainError(f"n_max={n_max} outside [0, N/2) for N={N}")
     chat = np.zeros(N, dtype=complex)
     if complex_field:
         # one (re, im) pair per mode n = -n_max .. n_max, drawn in that order
@@ -570,7 +568,7 @@ def _sup(s: FieldState) -> np.ndarray:
     return np.max([np.max(np.abs(f), axis=-1) for f in (s.v, s.V, s.u)], axis=0)
 
 
-def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
+def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt: float,
            t_end: float, save_every: int | None = None,
            metadata: Sequence[dict] | None = None) -> list[ExperimentRecord]:
     """Run the system from each initial state and record diagnostics
@@ -587,7 +585,7 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     record i.  Blow-up is judged per member, against that member's initial
     sup norm, and names the first failing member.
     """
-    c, omega, nu = _wave_scalars(wave)
+    c, omega, nu = wave.params.c, wave.params.omega, wave.params.nu
     ev = Evolver(grid, dt)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise DomainError(f"t_end={t_end} must be finite and non-negative")
@@ -619,7 +617,7 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     # 0..B-1 for v and B..2B-1 for V
     acoustic_ref = np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0)
     acoustic_m = _modes(acoustic_ref, grid)
-    profile_m = _profile_modes(wave, nu, grid)
+    profile_m = _profile_modes(wave, grid)
 
     # one row per save: the initial state, every save_every-th step and the last step
     rows = []
@@ -627,8 +625,7 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
     def record(s):
         ux = _derivative(s.u, grid)
         inv = invariants(s, grid, ux=ux)
-        rho, ys, th = orbital_distance(s.u, wave, nu, grid, t=s.t,
-                                       profile_modes=profile_m)
+        rho, ys, th = orbital_distance(s.u, wave, grid, t=s.t, profile_modes=profile_m)
         dist, _ = shift_distance(np.concatenate((s.v, s.V)), acoustic_ref, grid,
                                  g_modes=acoustic_m)
         q1p = q1_paper_form(s, grid, ux=ux)
@@ -660,12 +657,11 @@ def evolve(states0: Sequence[FieldState], wave, grid: GridSpec, dt: float,
             for i, meta in enumerate(metadata)]
 
 
-def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,
+def _perturbed_initial_state(wave: DnoidalWave, grid: GridSpec, delta: float, seed: int,
                              respect_mean_condition: bool,
                              renormalize_q2: bool) -> FieldState:
     if not math.isfinite(delta):
         raise DomainError(f"delta={delta} must be finite")
-    c, omega, nu = _wave_scalars(wave)
     base = wave_state(wave, grid, t=0.0)
     if delta == 0.0:
         return base
@@ -680,6 +676,7 @@ def _perturbed_initial_state(wave, grid: GridSpec, delta: float, seed: int,
     scale_V = _l2(base.V, grid) or scale_v
     pert_v *= delta * scale_v / _l2(pert_v, grid)
     pert_V *= delta * scale_V / _l2(pert_V, grid)
+    nu = wave.params.nu
     pert_u *= delta * _h1nu(base.u, grid, nu) / _h1nu(pert_u, grid, nu)
 
     if respect_mean_condition:

@@ -139,6 +139,13 @@ class HillSpectrum:
         })
 
 
+def _check_period(L: float) -> None:
+    # hill_L3 and hill_L4 check before they sample the wave: the solitary
+    # wave's L = inf would give NaN samples
+    if not (math.isfinite(L) and L > 0.0):
+        raise DomainError(f"period L={L} must be finite and positive")
+
+
 def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
     """Hill operator on the samples V(j L / N), j = 0..N-1.
 
@@ -146,6 +153,7 @@ def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
     about x = 0 (V[-j mod N] = V[j]) to a relative odd part of EVEN_TOL =
     1e-8 and raises DomainError naming the evenness check otherwise.
     """
+    _check_period(L)
     samples = np.asarray(potential_samples, dtype=float)
     if N % 2 != 0 or N < 32:
         raise DomainError(f"N={N} must be even and >= 32")
@@ -157,6 +165,7 @@ def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
 def hill_L3(w: DnoidalWave, N: int = 512) -> HillOperator:
     """Operator with potential 3 psi and constant term nu."""
     p = w.params
+    _check_period(p.L)
     xs = np.arange(N) * p.L / N
     return assemble(p.L, p.nu, 3.0 * w.psi(xs), N)
 
@@ -164,6 +173,7 @@ def hill_L3(w: DnoidalWave, N: int = 512) -> HillOperator:
 def hill_L4(w: DnoidalWave, N: int = 512) -> HillOperator:
     """Operator with potential psi and constant term nu."""
     p = w.params
+    _check_period(p.L)
     xs = np.arange(N) * p.L / N
     return assemble(p.L, p.nu, w.psi(xs), N)
 

@@ -5,6 +5,11 @@ frequency parameter nu = -(omega + c^2/4) > 2 pi^2 / L^2.  The envelope
 profile is phi(xi) = eta1 dn(eta1 xi / sqrt(2 alpha); k) with
 alpha = 1 - c^2, the density profile is psi = -phi^2 / alpha, and the
 zero-mean flux profile varphi = c psi - d0.
+
+The solitary wave is the L -> infinity end of the same family: there
+k -> 1, eta2 -> 0, dn = cn = sech and E/K -> 0, so `solitary_wave` builds
+a `DnoidalWave` at k = 1 and every profile goes through the one set of
+Jacobi formulas.
 """
 
 from __future__ import annotations
@@ -149,7 +154,8 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
 
 @dataclass(frozen=True)
 class DnoidalWave:
-    """A dnoidal wave plus closed-form profile evaluators."""
+    """A dnoidal wave plus closed-form profile evaluators; at k = 1 (see
+    `solitary_wave`) the same formulas give the sech solitary wave."""
 
     params: WaveParams
     modulus: Modulus
@@ -240,6 +246,8 @@ def ode_residuals(w: DnoidalWave, N: int = 1024):
     if N < 64:
         raise DomainError("ode_residuals needs N >= 64")
     p = w.params
+    if not math.isfinite(p.L):
+        raise DomainError(f"ode_residuals samples one period, but L={p.L}")
     xs = np.linspace(0.0, p.L, N, endpoint=False)
     ph = w.phi(xs)
     dph = w.phi_prime(xs)
@@ -270,49 +278,28 @@ def mass_derivative(L: float, c: float, nu: float) -> float:
     return w.params.alpha * L * (dK * E + K * (E - K) / k) / (K * (dK * (2.0 - k * k) - k * K))
 
 
-@dataclass(frozen=True)
-class SolitaryWave:
-    """Sech-profile solitary wave on the line; the varphi component is c*psi."""
-
-    omega: float
-    c: float
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self.c * self.c
-
-    @property
-    def nu(self) -> float:
-        return -(self.omega + self.c * self.c / 4.0)
+class SolitaryWave(DnoidalWave):
+    """The L -> infinity end of the dnoidal family: k = 1, where dn = cn = sech."""
 
     @property
     def decay_rate(self) -> float:
-        return 0.5 * math.sqrt(-4.0 * self.omega - self.c**2)
-
-    def phi(self, xs):
-        amp = math.sqrt((-4.0 * self.omega - self.c**2) * self.alpha / 2.0)
-        return amp / np.cosh(self.decay_rate * np.asarray(xs, dtype=float))
-
-    def psi(self, xs):
-        ph = self.phi(xs)
-        return -ph * ph / self.alpha
-
-    def varphi(self, xs):
-        return self.c * self.psi(xs)
-
-    def phi_prime(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        amp = math.sqrt((-4.0 * self.omega - self.c**2) * self.alpha / 2.0)
-        b = self.decay_rate
-        return -amp * b * np.tanh(b * xs) / np.cosh(b * xs)
+        return math.sqrt(self.params.nu)
 
 
 def solitary_wave(omega: float, c: float) -> SolitaryWave:
+    """The sech wave phi = eta1 sech(sqrt(nu) x) on the line, built as the
+    k = 1 dnoidal wave: eta1 = sqrt(2 nu alpha), eta2 = 0, E/K = d0 = 0."""
     if not 4.0 * omega + c * c < 0.0:
         raise DomainError(f"solitary wave needs 4*omega + c^2 < 0, got {4 * omega + c * c}")
     if not 1.0 - c * c > 0.0:
         raise DomainError(f"solitary wave needs 1 - c^2 > 0, got {1 - c * c}")
-    return SolitaryWave(omega=omega, c=c)
+    alpha = 1.0 - c * c
+    nu = -(omega + c * c / 4.0)
+    params = WaveParams(
+        L=math.inf, c=c, omega=omega, nu=nu, alpha=alpha,
+        eta1=math.sqrt(2.0 * nu * alpha), eta2=0.0, k=1.0, d0=0.0, Aphi=0.0,
+    )
+    return SolitaryWave(params=params, modulus=Modulus.from_kprime_sq(0.0), EK_ratio=0.0)
 
 
 _TABLE_FIELDS = ("nu", "eta2", "eta1", "k", "omega", "d0", "mass")

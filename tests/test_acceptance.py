@@ -216,16 +216,16 @@ def test_criterion_08_orbital_stability(pert_run_small, pert_run_large):
 
 def test_criterion_09_solitary_limit(solitary_run_pert):
     sw = solitary_wave(-1.0, 0.5)
-    L = 80.0 / math.sqrt(-4.0 * sw.omega - sw.c**2)
+    L = 80.0 / math.sqrt(-4.0 * sw.params.omega - sw.params.c**2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dn = build_wave(L, sw.c, sw.nu)
+        dn = build_wave(L, sw.params.c, sw.params.nu)
     xs = np.linspace(-L / 2.0, L / 2.0, 4096)
     profile_gap = float(np.max(np.abs(dn.phi(xs) - sw.phi(xs))))
 
     rec = solitary_run_pert
     sup_rho = float(np.max(rec.rho_nu))
-    wrapped = np.mod(rec.y_star - sw.c * rec.times + 0.5 * L, L) - 0.5 * L
+    wrapped = np.mod(rec.y_star - sw.params.c * rec.times + 0.5 * L, L) - 0.5 * L
     track_err = float(np.max(np.abs(wrapped)))
     ok = (profile_gap <= 1e-6 and np.isfinite(sup_rho)
           and track_err <= 1e-3 * L)
@@ -274,7 +274,7 @@ def test_criterion_10_oracle_layer(wave_std, grid_std):
     rng = np.random.default_rng(3)
     s = wave_state(wave_std, grid_std)
     u = s.u + 1e-2 * band_limited_perturbation(rng, grid_std, 8, complex_field=True)
-    rho, _, _ = orbital_distance(u, wave_std, wave_std.params.nu, grid_std)
+    rho, _, _ = orbital_distance(u, wave_std, grid_std)
     polished, grid_only = brute_force_rho(u, wave_std, wave_std.params.nu, grid_std)
     if not (abs(rho - polished) <= 1e-6 and rho <= grid_only + 1e-12):
         ok = False

@@ -395,6 +395,18 @@ def test_evolve_is_stability_at_delta_zero_seed_zero(tmp_path, capsys):
         assert stdouts[0] == stdouts[1]
 
 
+def test_momentum_free_run_reports_absolute_q1_drift(capsys):
+    # at c = 0, Q1(0) is rounding noise (about -9e-17 here), so a relative
+    # Q1 drift would be noise over noise; E and Q2 stay relative
+    code, out, err = run(capsys, "evolve", "--L", "6.283185307179586", "--c", "0",
+                         "--nu", "1", "--t-end", "0.1")
+    assert code == 0, err
+    line = next(ln for ln in out.splitlines() if ln.startswith("relative drift: "))
+    drifts = dict(item.split("=") for item in line.removeprefix("relative drift: ").split())
+    assert set(drifts) == {"E", "Q1(absolute)", "Q2"}
+    assert all(float(d) <= 1e-12 for d in drifts.values()), line
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 6.283185307179586, "c": 0.0, "nu": 1.0}))

@@ -29,7 +29,7 @@ from zakwave.dynamics import (
     wave_state,
 )
 from zakwave.errors import BlowUpError, DomainError
-from zakwave.wavefamily import mass_integral
+from zakwave.wavefamily import mass_integral, solitary_wave
 
 from conftest import STD_L, relative_drift
 
@@ -246,6 +246,12 @@ def test_grid_rejects_odd_or_tiny_N():
         GridSpec(L=1.0, N=63)
     with pytest.raises(DomainError):
         GridSpec(L=1.0, N=32)
+    for L in (math.nan, math.inf, 0.0, -3.0):
+        with pytest.raises(DomainError, match="L="):
+            GridSpec(L=L, N=64)
+    # the solitary wave lives on the line, L = inf: no periodic run of it
+    with pytest.raises(DomainError, match="L=inf"):
+        stability_experiment(solitary_wave(-1.0, 0.5), delta=1e-3, t_end=0.1)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def test_gauge_and_shift_covariance(wave_std, grid_std):
 
 def test_orbital_distance_exact_wave(wave_std, grid_std):
     s = wave_state(wave_std, grid_std)
-    rho, y, th = orbital_distance(s.u, wave_std, wave_std.params.nu, grid_std)
+    rho, y, th = orbital_distance(s.u, wave_std, grid_std)
     assert rho <= 1e-10
     assert min(y, grid_std.L - y) <= 1e-8
     assert min(th, 2.0 * math.pi - th) <= 1e-8
@@ -346,7 +352,7 @@ def test_orbital_distance_recovers_shift_and_phase(wave_std, grid_std, y0, th0):
     s = wave_state(wave_std, grid_std)
     uhat = np.fft.fft(s.u)
     shifted = np.fft.ifft(uhat * np.exp(-1j * grid_std.k * y0)) * np.exp(1j * th0)
-    rho, y, th = orbital_distance(shifted, wave_std, p.nu, grid_std)
+    rho, y, th = orbital_distance(shifted, wave_std, grid_std)
     assert rho <= 1e-8
     assert _circular_gap(y, y0, grid_std.L) <= 1e-8
     # the gauge converts the u-phase th0 into e^{i(th - c y / 2)} on w
@@ -363,7 +369,7 @@ def brute_force_rho(u, wave, nu, grid, n_y=4096, n_theta=512):
     directly evaluated Omega removes it without reusing any of the
     closed-form machinery under test.  Returns (polished, grid_only).
     """
-    c = wave.c if not hasattr(wave, "params") else wave.params.c
+    c = wave.params.c
     w = np.exp(-0.5j * c * grid.xs) * u
     xi = np.mod(grid.xs + 0.5 * grid.L, grid.L) - 0.5 * grid.L
     phi = wave.phi(xi)
@@ -419,7 +425,7 @@ def test_orbital_distance_brute_force_oracle(wave_std, grid_std):
     s = wave_state(wave_std, grid_std)
     pert = band_limited_perturbation(rng, grid_std, 32, complex_field=True)
     u = s.u + 1e-2 * pert
-    rho, _, _ = orbital_distance(u, wave_std, wave_std.params.nu, grid_std)
+    rho, _, _ = orbital_distance(u, wave_std, grid_std)
     oracle, grid_only = brute_force_rho(u, wave_std, wave_std.params.nu, grid_std)
     assert rho == pytest.approx(oracle, abs=1e-6)
     assert rho <= grid_only + 1e-12  # grid minimum sits above the true infimum
@@ -450,16 +456,15 @@ def test_shift_distance_is_not_fooled_by_anticorrelation(wave_std, grid_std):
 
 
 def test_stationarity_exact_and_perturbed(wave_std, grid_std):
-    nu = wave_std.params.nu
     s = wave_state(wave_std, grid_std)
-    rho, y, th = orbital_distance(s.u, wave_std, nu, grid_std)
-    g1, g2 = stationarity_check(s.u, wave_std, nu, y, th, grid_std)
+    rho, y, th = orbital_distance(s.u, wave_std, grid_std)
+    g1, g2 = stationarity_check(s.u, wave_std, y, th, grid_std)
     assert abs(g1) <= 1e-10 and abs(g2) <= 1e-10
 
     rng = np.random.default_rng(4)
     u = s.u + 1e-2 * band_limited_perturbation(rng, grid_std, 16, complex_field=True)
-    rho, y, th = orbital_distance(u, wave_std, nu, grid_std)
-    g1, g2 = stationarity_check(u, wave_std, nu, y, th, grid_std)
+    rho, y, th = orbital_distance(u, wave_std, grid_std)
+    g1, g2 = stationarity_check(u, wave_std, y, th, grid_std)
     scale = max(rho * rho, 1e-12)
     assert abs(g1) <= 1e-6 * max(1.0, scale)
     assert abs(g2) <= 1e-6 * max(1.0, scale)
@@ -470,7 +475,7 @@ def test_stationarity_matches_finite_difference(wave_std, grid_std):
     rng = np.random.default_rng(9)
     s = wave_state(wave_std, grid_std)
     u = s.u + 5e-2 * band_limited_perturbation(rng, grid_std, 16, complex_field=True)
-    _, y, th = orbital_distance(u, wave_std, nu, grid_std)
+    _, y, th = orbital_distance(u, wave_std, grid_std)
 
     def omega_at(yy, tt):
         c = wave_std.params.c
@@ -487,7 +492,7 @@ def test_stationarity_matches_finite_difference(wave_std, grid_std):
     h = 1e-6
     fd_y = (omega_at(yy + h, tt) - omega_at(yy - h, tt)) / (2.0 * h)
     fd_t = (omega_at(yy, tt + h) - omega_at(yy, tt - h)) / (2.0 * h)
-    g1, g2 = stationarity_check(u, wave_std, nu, yy, tt, grid_std)
+    g1, g2 = stationarity_check(u, wave_std, yy, tt, grid_std)
     assert g1 == pytest.approx(fd_y, abs=1e-6)
     assert g2 == pytest.approx(fd_t, abs=1e-6)
 
@@ -527,13 +532,12 @@ def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std):
                                                               complex_field=True))
     dt, n = 1e-3, 3
     rec = evolve([s0], wave_std, grid_std, dt, n * dt, save_every=n)[0]
-    nu = wave_std.params.nu
     for row, s in ((0, _advance(s0, dt, grid_std, 0)), (1, _advance(s0, dt, grid_std, n))):
         inv = invariants(s, grid_std)
         assert (rec.E[row], rec.Q1[row], rec.Q2[row]) == (inv.E, inv.Q1, inv.Q2)
         q1p = q1_paper_form(s, grid_std)
         assert (rec.q1_uv_real[row], rec.q1_uv_imag[row]) == (q1p.real, q1p.imag)
-        rho, y, th = orbital_distance(s.u, wave_std, nu, grid_std, t=s.t)
+        rho, y, th = orbital_distance(s.u, wave_std, grid_std, t=s.t)
         assert (rec.rho_nu[row], rec.y_star[row], rec.theta_star[row]) == (rho, y, th)
         assert rec.dist_v[row] == shift_distance(s.v, base.v, grid_std)[0]
         assert rec.dist_V[row] == shift_distance(s.V, base.V, grid_std)[0]
@@ -571,10 +575,9 @@ def test_batched_diagnostics_equal_single_row_calls(wave_std, grid_std, seed, sc
     rng = np.random.default_rng(seed)
     batch = _perturbed_batch(wave_std, grid_std, rng, scales, t=0.7)
     ref = wave_state(wave_std, grid_std)
-    nu = wave_std.params.nu
     inv = invariants(batch, grid_std)
     q1p = q1_paper_form(batch, grid_std)
-    rho, y, th = orbital_distance(batch.u, wave_std, nu, grid_std, t=batch.t)
+    rho, y, th = orbital_distance(batch.u, wave_std, grid_std, t=batch.t)
     dv, yv = shift_distance(batch.v, ref.v, grid_std)
     dV, yV = shift_distance(batch.V, ref.V, grid_std)
     # one reference per row, as evolve measures v and V in one call
@@ -586,7 +589,7 @@ def test_batched_diagnostics_equal_single_row_calls(wave_std, grid_std, seed, sc
         one = invariants(s, grid_std)
         assert (inv.E[i], inv.Q1[i], inv.Q2[i]) == (one.E, one.Q1, one.Q2)
         assert q1p[i] == q1_paper_form(s, grid_std)
-        assert (rho[i], y[i], th[i]) == orbital_distance(s.u, wave_std, nu, grid_std, t=s.t)
+        assert (rho[i], y[i], th[i]) == orbital_distance(s.u, wave_std, grid_std, t=s.t)
         assert (dv[i], yv[i]) == shift_distance(s.v, ref.v, grid_std)
         assert (dV[i], yV[i]) == shift_distance(s.V, ref.V, grid_std)
 
@@ -641,7 +644,7 @@ def test_batched_orbital_distance_recovers_each_shift_and_phase(wave_std, grid_s
     y0, th0 = np.array(shifts).T
     uhat = np.fft.fft(wave_state(wave_std, grid_std).u)
     u = np.fft.ifft(uhat * np.exp(-1j * grid_std.k * y0[:, None])) * np.exp(1j * th0[:, None])
-    rho, y, th = orbital_distance(u, wave_std, p.nu, grid_std)
+    rho, y, th = orbital_distance(u, wave_std, grid_std)
     assert rho.shape == y.shape == th.shape == (len(shifts),)
     for i in range(len(shifts)):
         assert rho[i] <= 1e-8
@@ -760,6 +763,14 @@ def test_band_limited_perturbation_properties():
     assert abs(np.mean(g)) <= 1e-14
     h = band_limited_perturbation(rng, grid, 8, complex_field=True)
     assert np.iscomplexobj(h)
+    # the widest support stops short of the Nyquist mode, which a real
+    # field could not hold as a conjugate pair
+    for kw in ({}, {"complex_field": True}):
+        f = band_limited_perturbation(rng, grid, 63, **kw)
+        assert abs(np.fft.fft(f)[64]) <= 1e-12 * np.max(np.abs(np.fft.fft(f)))
+        for n_max in (-1, 64):
+            with pytest.raises(DomainError, match="n_max"):
+                band_limited_perturbation(rng, grid, n_max, **kw)
 
 
 def _loop_perturbation(rng, grid, n_max, complex_field=False, zero_mean=False):
@@ -783,7 +794,8 @@ def _loop_perturbation(rng, grid, n_max, complex_field=False, zero_mean=False):
 @pytest.mark.parametrize("seed", [0, 1, 5, 12345])
 @pytest.mark.parametrize("n_max", [0, 1, 8, 32, 64])
 def test_band_limited_perturbation_matches_scalar_draws(seed, n_max):
-    grid = GridSpec(L=10.0, N=128)
+    # N = 256: n_max = 64 must stay below N/2
+    grid = GridSpec(L=10.0, N=256)
     for kw in ({}, {"zero_mean": True}, {"complex_field": True}):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         # two fields in a row: the second starts where the first left the stream

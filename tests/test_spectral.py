@@ -26,7 +26,7 @@ from zakwave.spectral import (
     periodic_spectrum,
     semiperiodic_spectrum,
 )
-from zakwave.wavefamily import build_wave
+from zakwave.wavefamily import build_wave, solitary_wave
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +88,11 @@ def test_assemble_rejects_bad_inputs():
         assemble(1.0, 0.0, np.zeros(16), 16)
     with pytest.raises(DomainError):
         assemble(1.0, 0.0, np.zeros(64), 128)
+    for L in (math.nan, math.inf, 0.0, -3.0):
+        with pytest.raises(DomainError, match="L="):
+            assemble(L, 0.0, np.zeros(64), 64)
+    with pytest.raises(DomainError, match="L=inf"):
+        hill_L3(solitary_wave(-1.0, 0.5))
 
 
 def test_matrix_symmetric_and_constant_rayleigh(wave_std):

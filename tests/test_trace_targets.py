@@ -2,8 +2,9 @@
 fail when one of those names is deleted or renamed, when a step stops
 doing the 16 transforms the benchmark's self-test expects, when the
 modulated-distance search transforms shifted fields again, when the
-save points transform the fixed reference fields again, or when a batch
-runs its save-point diagnostics member by member."""
+save points transform the fixed reference fields again, when a batch
+runs its save-point diagnostics member by member, or when the solitary
+run's profiles stop going through the traced Jacobi evaluators."""
 
 import os
 import sys
@@ -60,10 +61,20 @@ def test_traced_orbital_distance_does_at_most_four_transforms(tracer, wave_std, 
     # field, profile and profile-derivative modes plus one correlation ifft
     u = wave_state(wave_std, grid_std).u
     first = len(tracer.names)
-    dynamics.orbital_distance(u, wave_std, wave_std.params.nu, grid_std)
+    dynamics.orbital_distance(u, wave_std, grid_std)
     inside = tracer.names[first:]
     assert inside[0] == "dynamics.orbital_distance"
     assert inside.count("fft") <= 4
+
+
+def test_traced_solitary_run_evaluates_jacobi_profiles(tracer):
+    # the solitary wave's profiles are the DnoidalWave methods at k = 1, so
+    # the per-layer profile metrics count the solitary workload too
+    first = len(tracer.names)
+    dynamics.solitary_experiment(-1.0, 0.5, t_end=1e-2, N=256)
+    inside = tracer.names[first:]
+    assert "wavefamily.profile" in inside
+    assert "elliptic.jacobi" in inside
 
 
 def test_traced_evolve_transforms_reference_fields_once(tracer, wave_std, grid_std):

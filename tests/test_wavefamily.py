@@ -347,21 +347,42 @@ def test_mass_derivative_finite_next_to_threshold():
 def test_solitary_amplitude_and_relations():
     sw = solitary_wave(-1.0, 0.5)
     amp = math.sqrt((4.0 - 0.25) * 0.75 / 2.0)
-    assert sw.phi(0.0)[()] == pytest.approx(amp, rel=1e-15)
+    assert float(sw.phi(0.0)) == pytest.approx(amp, rel=1e-15)
     xs = np.linspace(-20.0, 20.0, 513)
-    assert np.max(np.abs(sw.psi(xs) + sw.phi(xs) ** 2 / sw.alpha)) <= 1e-12
-    assert np.max(np.abs(sw.varphi(xs) - sw.c * sw.psi(xs))) <= 1e-12
+    assert np.max(np.abs(sw.psi(xs) + sw.phi(xs) ** 2 / sw.params.alpha)) <= 1e-12
+    assert np.max(np.abs(sw.varphi(xs) - sw.params.c * sw.psi(xs))) <= 1e-12
 
 
 def test_solitary_profile_ode_residual():
     sw = solitary_wave(-1.0, 0.5)
     xs = np.linspace(-40.0, 40.0, 4096)
     b = sw.decay_rate
-    amp = sw.phi(0.0)[()]
+    amp = float(sw.phi(0.0))
     sech = 1.0 / np.cosh(b * xs)
     phi_dd = amp * b * b * (sech - 2.0 * sech**3)
-    resid = phi_dd - sw.nu * sw.phi(xs) + sw.phi(xs) ** 3 / sw.alpha
+    resid = phi_dd - sw.params.nu * sw.phi(xs) + sw.phi(xs) ** 3 / sw.params.alpha
     assert np.max(np.abs(resid)) <= 1e-10
+
+
+def test_solitary_is_the_k1_dnoidal_wave():
+    # the Jacobi profiles at k = 1 against the sech closed forms, on the
+    # wrapped N = 1024 grid of the solitary run's box (box factor 80)
+    omega, c = -1.0, 0.5
+    sw = solitary_wave(omega, c)
+    assert isinstance(sw, DnoidalWave) and sw.params.k == 1.0
+    alpha = 1.0 - c * c
+    amp = math.sqrt((-4.0 * omega - c * c) * alpha / 2.0)
+    b = 0.5 * math.sqrt(-4.0 * omega - c * c)
+    L = 80.0 / math.sqrt(-4.0 * omega - c * c)
+    xs = np.arange(1024) * L / 1024 - 0.5 * L
+    sech, tanh = 1.0 / np.cosh(b * xs), np.tanh(b * xs)
+    phi = amp * sech
+    psi = -phi**2 / alpha
+    closed = {"phi": phi, "phi_prime": -amp * b * tanh * sech, "psi": psi,
+              "varphi": c * psi, "phi_second": amp * b * b * (sech - 2.0 * sech**3)}
+    for name, ref in closed.items():
+        err = np.max(np.abs(getattr(sw, name)(xs) - ref))
+        assert err <= 1e-14 * np.max(np.abs(ref)), name
 
 
 def test_solitary_domain_errors():
@@ -369,6 +390,9 @@ def test_solitary_domain_errors():
         solitary_wave(0.0, 0.0)
     with pytest.raises(DomainError):
         solitary_wave(-1.0, 1.0)
+    # the k = 1 wave has no finite period to sample
+    with pytest.raises(DomainError, match="L=inf"):
+        ode_residuals(solitary_wave(-1.0, 0.5))
 
 
 def test_dnoidal_converges_to_solitary():
