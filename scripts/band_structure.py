@@ -28,7 +28,7 @@ def main() -> int:
     for k in np.linspace(args.k_min, args.k_max, args.points):
         m = Modulus.from_k(float(k))
         rho0, rho1, rho2 = lame_eigen_analytic(m)
-        intervals = instability_intervals(m, n_gaps=10, N=args.N)
+        intervals = instability_intervals(m, N=args.N)
         (g1_lo, g1_hi), (g2_lo, g2_hi) = intervals[1], intervals[2]
         residual = max(hi - lo for lo, hi in intervals[3:])
         rows.append([k, intervals[0][1], g1_lo, g1_hi, g2_lo, g2_hi,

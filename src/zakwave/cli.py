@@ -136,8 +136,13 @@ def _apply_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
 
 
 def _load_wave_args(args):
-    """Wave from --wave-file (a cmd_construct JSON) or from --L/--c/--nu."""
+    """Wave from --wave-file (a cmd_construct JSON) or from --L/--c/--nu;
+    giving both is a usage error."""
     if getattr(args, "wave_file", None) is not None:
+        given = [f"--{n}" for n in ("L", "c", "nu") if getattr(args, n) is not None]
+        if given:
+            _usage_error(f"--wave-file and {', '.join(given)} both give the wave; "
+                         f"pass one of them")
         payload = _read_json(args.wave_file, "wave file")
         try:
             p = payload["params"]
@@ -209,7 +214,9 @@ def cmd_spectrum(args) -> int:
     failures: list = []
 
     if args.operator == "lame":
-        intervals = instability_intervals(w.modulus, n_gaps=10, N=args.N)
+        if args.modes is not None:
+            _usage_error("--modes applies to L3 and L4, not to --operator lame")
+        intervals = instability_intervals(w.modulus, N=args.N)
         finite = intervals[1:]
         widths = [hi - lo for lo, hi in finite]
         wide = sum(1 for w_ in widths if w_ > 1e-4)
@@ -231,14 +238,15 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
 
     # the verdicts read lambda_0 .. lambda_2
-    if args.modes < 3:
-        _usage_error(f"--modes must be at least 3, got {args.modes}")
+    modes = 8 if args.modes is None else args.modes
+    if modes < 3:
+        _usage_error(f"--modes must be at least 3, got {modes}")
     op = hill_L3(w, args.N) if args.operator == "L3" else hill_L4(w, args.N)
-    spec = periodic_spectrum(op, args.modes)
+    spec = periodic_spectrum(op, modes)
     lam = spec.eigenvalues
     xs = np.arange(args.N) * p.L / args.N
     print(f"{args.operator} eigenvalues (N={args.N}):")
-    for i, v in enumerate(lam[:min(args.modes, 6)]):
+    for i, v in enumerate(lam[:min(modes, 6)]):
         print(f"  lambda_{i} = {fmt(v)}")
 
     def align(vec, target):
@@ -374,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="Hill-operator spectrum with verdicts")
     _add_wave_flags(sp, with_wave_file=True)
     sp.add_argument("--operator", choices=("L3", "L4", "lame"), default="L3")
-    sp.add_argument("--modes", type=int, default=8)
+    sp.add_argument("--modes", type=int, default=None,
+                    help="L3/L4 eigenpairs to report (default 8); not for lame")
     sp.add_argument("--N", type=int, default=512,
                     help="potential samples; L3 and L4 solve on the (N-1)//4 "
                          "Fourier modes each side of 0, so --modes is at most "

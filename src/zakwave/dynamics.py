@@ -11,7 +11,6 @@ RK4: the stiff linear i u_xx term is transported exactly in Fourier space.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -34,7 +33,6 @@ __all__ = [
     "q1_paper_form",
     "functional_B",
     "orbital_distance",
-    "stationarity_check",
     "shift_distance",
     "band_limited_perturbation",
     "evolve",
@@ -411,23 +409,6 @@ def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
                      math.sqrt(wave.params.nu) * _modes(wave.phi(xi), grid)))
 
 
-def _orbit_modes(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
-                 b: np.ndarray | None = None):
-    """Stacked modes a = (w', sqrt(nu) w) of the gauged field, shape
-    (..., 2, N), and b = (phi', sqrt(nu) phi) of the profile (computed
-    unless given), and the product g = sum a conj(b) with
-    G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
-    c, nu = wave.params.c, wave.params.nu
-    # the gauge's phase seam tracks the antipode of x = c t instead of
-    # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing
-    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
-    a = np.stack((1j * grid.k * w, math.sqrt(nu) * w), axis=-2)
-    if b is None:
-        b = _profile_modes(wave, grid)
-    return a, b, np.sum(a * np.conj(b), axis=-2)
-
-
 def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0,
                      *, profile_modes: np.ndarray | None = None):
     """nu-weighted modulated distance of u to the wave orbit, with c and nu
@@ -442,8 +423,17 @@ def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float 
     so a caller that measures many fields against one wave samples and
     transforms the profile once.
     """
-    a, b, g = _orbit_modes(np.atleast_2d(u), wave, grid, t, profile_modes)
+    c, nu = wave.params.c, wave.params.nu
     k = grid.k
+    # the gauge's phase seam tracks the antipode of x = c t instead of
+    # cutting through the profile; for carrier-periodic waves (c L multiple
+    # of 4 pi) the wrap changes nothing
+    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * np.atleast_2d(u), grid)
+    # stacked modes a = (w', sqrt(nu) w) and b = (phi', sqrt(nu) phi), and
+    # g with G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>
+    a = np.stack((1j * k * w, math.sqrt(nu) * w), axis=-2)
+    b = _profile_modes(wave, grid) if profile_modes is None else profile_modes
+    g = np.sum(a * np.conj(b), axis=-2)
     ys, e = _best_shift(g, k, grid)
     theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
     # direct evaluation of Omega: well conditioned when the distance is
@@ -451,18 +441,6 @@ def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float 
     omega_val = _distance_sq(a, b, (np.exp(1j * theta)[..., None] * e)[..., None, :])
     omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
     return _per_member(np.ndim(u), np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star)
-
-
-def stationarity_check(u: np.ndarray, wave: DnoidalWave, y_star: float,
-                       theta_star: float, grid: GridSpec, t: float = 0.0):
-    """Gradient of Omega with respect to (y, theta) at the reported minimizer."""
-    _, _, g = _orbit_modes(u, wave, grid, t)
-    k = grid.k
-    # e^{i theta} G(y) and e^{i theta} G'(y)
-    e = np.exp(1j * (theta_star + k * y_star))
-    d_y = -2.0 * np.sum(1j * k * g * e).real
-    d_theta = 2.0 * np.sum(g * e).imag
-    return float(d_y), float(d_theta)
 
 
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec, *,
@@ -569,10 +547,13 @@ def _sup(s: FieldState) -> np.ndarray:
 
 
 def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt: float,
-           t_end: float, save_every: int | None = None,
-           metadata: Sequence[dict] | None = None) -> list[ExperimentRecord]:
+           t_end: float, metadata: Sequence[dict] | None = None) -> list[ExperimentRecord]:
     """Run the system from each initial state and record diagnostics
     against `wave`; returns one record per state, in order.
+
+    The run takes n_steps = round(t_end / dt) steps and saves the initial
+    state, every max(1, n_steps // 200)-th step and the last step, about
+    200 rows.
 
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  At each save every
@@ -598,13 +579,8 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     t0 = states0[0].t
     if any(s.t != t0 for s in states0):
         raise DomainError("batch members must start at the same time")
-    if save_every is not None and not (
-            isinstance(save_every, numbers.Integral) and not isinstance(save_every, bool)
-            and save_every > 0):
-        raise DomainError(f"save_every={save_every!r} must be None or a positive int")
     n_steps = int(round(t_end / dt))
-    if save_every is None:
-        save_every = max(1, n_steps // 200)
+    save_stride = max(1, n_steps // 200)
     batch0 = FieldState(t0, np.stack([s.v for s in states0]),
                         np.stack([s.V for s in states0]), np.stack([s.u for s in states0]))
     spec = ev.to_spectral(batch0)
@@ -619,7 +595,7 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     acoustic_m = _modes(acoustic_ref, grid)
     profile_m = _profile_modes(wave, grid)
 
-    # one row per save: the initial state, every save_every-th step and the last step
+    # one row per save: the initial state, every save_stride-th step and the last step
     rows = []
 
     def record(s):
@@ -641,7 +617,7 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
             finite = np.all(np.isfinite(spec[2]), axis=-1)
             if not np.all(finite):
                 raise BlowUpError(t, member=int(np.argmin(finite)))
-        if step % save_every == 0 or step == n_steps:
+        if step % save_stride == 0 or step == n_steps:
             saved = ev.to_physical(spec, t)
             sup = _sup(saved)
             blown = ~np.isfinite(sup) | (sup > 1e6 * sup0)
@@ -693,10 +669,10 @@ def _perturbed_initial_state(wave: DnoidalWave, grid: GridSpec, delta: float, se
 def stability_experiment(w: DnoidalWave, delta: float | Sequence[float], t_end: float,
                          dt: float | None = None, seed: int = 0,
                          respect_mean_condition: bool = True,
-                         N: int = 256, renormalize_q2: bool = False,
-                         save_every: int | None = None
+                         N: int = 256, renormalize_q2: bool = False
                          ) -> ExperimentRecord | list[ExperimentRecord]:
-    """Seeded perturbed evolution around a dnoidal wave.
+    """Seeded perturbed evolution around a dnoidal wave, saved on the
+    schedule of `evolve`.
 
     A float `delta` gives one ExperimentRecord.  A sequence of deltas gives
     a list with one record per delta, in order, from one batched `evolve`;
@@ -712,14 +688,14 @@ def stability_experiment(w: DnoidalWave, delta: float | Sequence[float], t_end: 
               "respect_mean_condition": respect_mean_condition,
               "wave": {"L": w.params.L, "c": w.params.c, "nu": w.params.nu}}
              for d in deltas]
-    records = evolve(states0, w, grid, dt, t_end, save_every=save_every, metadata=metas)
+    records = evolve(states0, w, grid, dt, t_end, metadata=metas)
     return records[0] if np.ndim(delta) == 0 else records
 
 
 def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                         delta: float = 0.0, t_end: float = 10.0,
-                        dt: float | None = None, seed: int = 0, N: int = 1024,
-                        save_every: int | None = None) -> ExperimentRecord:
+                        dt: float | None = None, seed: int = 0, N: int = 1024
+                        ) -> ExperimentRecord:
     """Solitary-wave run on a torus large enough that tails are below 1e-14."""
     if not box_factor >= 80.0:
         raise DomainError("box_factor must be >= 80 so wrapped tails stay < 1e-14")
@@ -735,5 +711,4 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                                       renormalize_q2=False)
     meta = {"kind": "solitary", "delta": delta, "seed": seed,
             "box_factor": box_factor, "wave": {"omega": omega, "c": c}}
-    return evolve([state0], sw, grid, dt, t_end, save_every=save_every,
-                  metadata=[meta])[0]
+    return evolve([state0], sw, grid, dt, t_end, metadata=[meta])[0]

@@ -269,12 +269,12 @@ def lambda_from_rho(w: DnoidalWave, rho: float) -> float:
     return p.nu - 3.0 * p.eta1**2 / p.alpha + p.eta1**2 / (2.0 * p.alpha) * rho
 
 
-def instability_intervals(m: Modulus, n_gaps: int = 10, N: int = 512):
-    """Instability intervals of the Lame operator, via the band-edge
-    interlacing lambda0 < mu0 <= mu1 < lambda1 <= lambda2 < mu2 <= mu3 < ...
+def instability_intervals(m: Modulus, N: int = 512):
+    """The semi-infinite instability interval (-inf, lambda0) of the Lame
+    operator and its 9 lowest finite gaps, via the band-edge interlacing
+    lambda0 < mu0 <= mu1 < lambda1 <= lambda2 < mu2 <= mu3 < ...
 
-    The first interval is the semi-infinite (-inf, lambda0); the finite
-    gaps follow as (mu0, mu1), (lambda1, lambda2), (mu2, mu3), ...  The
+    The finite gaps are (mu0, mu1), (lambda1, lambda2), (mu2, mu3), ...  The
     band edges are the lowest eigenvalues of the real symmetric
     Fourier-Hill matrix with M = N/8 modes on the N-sample potential,
     solved whole with `eigvalsh`: the potential 6 k^2 sn^2 is even, but a
@@ -285,9 +285,8 @@ def instability_intervals(m: Modulus, n_gaps: int = 10, N: int = 512):
     """
     if N < 512:
         raise DomainError("instability_intervals needs N >= 512")
+    n_gaps = 10
     n_eigs = 2 * n_gaps + 4
-    if n_eigs > N // 8:
-        raise DomainError(f"{n_gaps} gaps need N >= {8 * n_eigs}, got N={N}")
 
     def gaps_at(res: int):
         op = lame_operator(m, res)

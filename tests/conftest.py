@@ -47,8 +47,7 @@ def exact_run(wave_std, grid_std):
     """Exact traveling wave evolved over [0, 5] at dt=1e-4 with the paper-form
     momentum tracked alongside the conserved form."""
     state0 = wave_state(wave_std, grid_std)
-    return evolve([state0], wave_std, grid_std, dt=1e-4, t_end=5.0,
-                  save_every=250)[0]
+    return evolve([state0], wave_std, grid_std, dt=1e-4, t_end=5.0)[0]
 
 
 @pytest.fixture(scope="session")

@@ -148,7 +148,7 @@ def test_criterion_05_lame_structure(wave_std):
         analytic = np.array(lame_eigen_analytic(m))
         direct = periodic_spectrum(lame_operator(m, 512), 3).eigenvalues
         err = np.max(np.abs(analytic - direct))
-        intervals = instability_intervals(m, n_gaps=10)
+        intervals = instability_intervals(m)
         widths = [hi - lo for lo, hi in intervals[1:]]
         wide = sum(1 for w_ in widths if w_ > 1e-4)
         # one semi-infinite plus exactly two finite gaps

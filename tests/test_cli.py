@@ -317,6 +317,35 @@ def test_wave_file_without_params_is_usage_error(tmp_path, capsys):
     assert "cannot read wave file" in err
 
 
+@pytest.mark.parametrize("flag,value", [("nu", 0.5), ("L", 30.0), ("c", 0.1)])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_wave_file_with_wave_flags_is_usage_error(tmp_path, capsys, flag, value, via_config):
+    wave_json = tmp_path / "wave.json"
+    code, _, _ = run(capsys, "construct", "--L", "25.132741228718345", "--c", "0.5",
+                     "--nu", "0.2", "--format", "json", "--out", str(wave_json))
+    assert code == 0
+    argv = ["--operator", "L4", "--wave-file", str(wave_json)]
+    if via_config:
+        code, out, err = _run_with_config(tmp_path, capsys, "spectrum", {flag: value}, *argv)
+    else:
+        code, out, err = run(capsys, "spectrum", *argv, f"--{flag}", str(value))
+    assert code == 1, out
+    assert "--wave-file" in err and f"--{flag}" in err, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_modes_with_lame_is_usage_error(tmp_path, capsys, via_config):
+    argv = ["--operator", "lame", "--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2"]
+    if via_config:
+        code, out, err = _run_with_config(tmp_path, capsys, "spectrum", {"modes": 3}, *argv)
+    else:
+        code, out, err = run(capsys, "spectrum", *argv, "--modes", "3")
+    assert code == 1, out
+    assert "--modes" in err and "lame" in err, err
+    assert out == ""
+
+
 def test_solitary_writes_series_header(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     code, _, _ = run(capsys, "solitary", "--omega", "-1", "--c", "0.5",

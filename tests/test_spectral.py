@@ -37,14 +37,17 @@ def _grid(L, N):
     return np.arange(N) * L / N
 
 
-def test_no_program_path_calls_grid_matrix():
-    # the dense grid matrix is the tests' oracle; every solve runs in mode space
+@pytest.mark.parametrize("name", ["grid_matrix", "distance_at_shift"])
+def test_no_program_path_calls(name):
+    # the dense grid matrix and the distance at a given shift are the tests'
+    # oracles: every solve runs in mode space, and a save measures its
+    # distances in the shift search itself
     files = sorted((ROOT / "src" / "zakwave").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert ROOT / "src" / "zakwave" / "spectral.py" in files
     offenders = [f"{path.relative_to(ROOT)}:{i}"
                  for path in files
                  for i, line in enumerate(path.read_text().splitlines(), 1)
-                 if re.search(r"grid_matrix\s*\(", line) and "def grid_matrix(" not in line]
+                 if re.search(rf"\b{name}\s*\(", line) and f"def {name}(" not in line]
     assert offenders == []
 
 
@@ -446,7 +449,7 @@ def test_interlacing_of_band_edges():
 
 
 def test_instability_intervals_two_gap_structure():
-    intervals = instability_intervals(Modulus.from_k(0.5), n_gaps=10)
+    intervals = instability_intervals(Modulus.from_k(0.5))
     assert intervals[0][0] == -math.inf
     widths = [hi - lo for lo, hi in intervals[1:]]
     assert widths[0] > 1e-4 and widths[1] > 1e-4
@@ -454,7 +457,7 @@ def test_instability_intervals_two_gap_structure():
 
 
 def test_instability_intervals_collapse_at_small_k():
-    intervals = instability_intervals(Modulus.from_k(1e-5), n_gaps=6)
+    intervals = instability_intervals(Modulus.from_k(1e-5))
     widths = [hi - lo for lo, hi in intervals[1:]]
     assert all(w <= 1e-8 for w in widths)
 
@@ -462,13 +465,6 @@ def test_instability_intervals_collapse_at_small_k():
 def test_instability_intervals_resolution_guard():
     with pytest.raises(DomainError):
         instability_intervals(Modulus.from_k(0.5), N=128)
-
-
-def test_instability_intervals_gap_count_guard():
-    # the band edges read must stay within the lowest M = N/8 of 2M + 1 modes
-    with pytest.raises(DomainError):
-        instability_intervals(Modulus.from_k(0.5), n_gaps=31, N=512)
-    assert len(instability_intervals(Modulus.from_k(0.5), n_gaps=31, N=1024)) == 31
 
 
 # the benchmark's band-edge tolerance against lame_eigen_analytic
@@ -479,7 +475,7 @@ MODULI = [1e-5, 0.3, 0.5, 0.8, 1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12]
 @pytest.mark.parametrize("k", MODULI)
 def test_instability_intervals_edges_match_analytic(k):
     m = Modulus.from_k(k)
-    intervals = instability_intervals(m, n_gaps=10)
+    intervals = instability_intervals(m)
     # (-inf, lambda0), (mu0, mu1), (lambda1, lambda2): rho0, rho1, rho2
     edges = (intervals[0][1], intervals[2][0], intervals[2][1])
     for got, exact in zip(edges, lame_eigen_analytic(m)):
@@ -488,7 +484,7 @@ def test_instability_intervals_edges_match_analytic(k):
 
 @pytest.mark.parametrize("k", [k for k in MODULI if k >= 0.3])
 def test_instability_intervals_two_gaps_across_modulus(k):
-    widths = [hi - lo for lo, hi in instability_intervals(Modulus.from_k(k), n_gaps=10)[1:]]
+    widths = [hi - lo for lo, hi in instability_intervals(Modulus.from_k(k))[1:]]
     assert sum(w > 1e-4 for w in widths) == 2
     assert widths[0] > 1e-4 and widths[1] > 1e-4
     assert all(w <= 1e-6 for w in widths[2:])
@@ -507,7 +503,7 @@ def test_instability_intervals_raises_when_M_doubling_disagrees(monkeypatch):
 
     monkeypatch.setattr(spectral, "lame_operator", unresolved)
     with pytest.raises(AccuracyError):
-        instability_intervals(Modulus.from_k(0.5), n_gaps=10)
+        instability_intervals(Modulus.from_k(0.5))
 
 
 def test_lambda_from_rho_anchors(wave_std):

@@ -83,9 +83,9 @@ def test_traced_evolve_transforms_reference_fields_once(tracer, wave_std, grid_s
     # transforms per save nor the profile samplings grow with the saves
     s0 = wave_state(wave_std, grid_std)
     profiles = []
-    for save_every in (1, 4):
+    for t_end in (4e-3, 8e-3):  # 5 and 9 saves
         first = len(tracer.names)
-        dynamics.evolve([s0], wave_std, grid_std, 1e-3, 8e-3, save_every=save_every)
+        dynamics.evolve([s0], wave_std, grid_std, 1e-3, t_end)
         profiles.append(tracer.names[first:].count("wavefamily.profile"))
     assert profiles[0] == profiles[1]
     assert spans.layer_metrics(tracer)["dynamics.fft.per_save"] <= 11
@@ -99,7 +99,7 @@ def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
         tr = spans.Tracer()
         tr.install()
         try:
-            dynamics.evolve([s0] * n_members, wave_std, grid_std, 1e-3, 8e-3, save_every=2)
+            dynamics.evolve([s0] * n_members, wave_std, grid_std, 1e-3, 4e-3)
         finally:
             tr.uninstall()
         metrics.append(spans.layer_metrics(tr))
