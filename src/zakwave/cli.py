@@ -10,6 +10,7 @@ defaults; explicit command-line flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -427,8 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one zakwave command and return its exit code.
+
+    Every call in a process parses with the same parser, built by the
+    first call: argparse reads it without changing it, and a --config
+    file's values enter as extra flags of a second parse, not as new
+    defaults, so no call sees another's arguments.
+    """
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)

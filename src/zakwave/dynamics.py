@@ -553,7 +553,7 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
 
     The run takes n_steps = round(t_end / dt) steps and saves the initial
     state, every max(1, n_steps // 200)-th step and the last step, about
-    200 rows.
+    200 rows.  A t_end > 0 that rounds to no step is a DomainError.
 
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  At each save every
@@ -580,6 +580,9 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     if any(s.t != t0 for s in states0):
         raise DomainError("batch members must start at the same time")
     n_steps = int(round(t_end / dt))
+    if n_steps == 0 and t_end > 0.0:
+        raise DomainError(f"dt={dt} takes no step to t_end={t_end}: "
+                          f"round(t_end/dt) = 0, so dt must be below 2 t_end")
     save_stride = max(1, n_steps // 200)
     batch0 = FieldState(t0, np.stack([s.v for s in states0]),
                         np.stack([s.V for s in states0]), np.stack([s.u for s in states0]))

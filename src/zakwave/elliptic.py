@@ -2,14 +2,17 @@
 
 Everything is built on the arithmetic-geometric mean (AGM): K and E come
 from the AGM scale sequence, sn/cn/dn from the descending Landen
-back-recursion (DLMF 22.20(ii)).  All routines are pure functions and
-accept scalars or numpy arrays for the argument `u`.
+back-recursion (DLMF 22.20(ii)).  Each `Modulus` runs its AGM once, on
+first use, and `complete_K`, `complete_E`, `dK_dk` and `jacobi_sn_cn_dn`
+all read that one sequence.  All routines are pure functions of their
+arguments and accept scalars or numpy arrays for the argument `u`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +28,9 @@ class Modulus:
     """Elliptic modulus k together with its complement k' (k^2 + k'^2 = 1).
 
     Construct via `from_k` or, when k is close to 1, via `from_kprime_sq`
-    so the complement carries full precision.
+    so the complement carries full precision.  The AGM scale sequence is
+    cached on the instance, outside the dataclass fields, so equality and
+    hashing still see only (k, k').
     """
 
     k: float
@@ -44,6 +49,10 @@ class Modulus:
             raise DomainError(f"kprime^2={kprime_sq} outside [0, 1]")
         return cls(math.sqrt(max(0.0, 1.0 - kprime_sq)), math.sqrt(kprime_sq))
 
+    @cached_property
+    def _agm(self):
+        return _agm_sequence(self)
+
 
 def _agm_sequence(m: Modulus):
     """AGM scale sequence (a_n, b_n, c_n) starting from (1, k', k).
@@ -59,14 +68,14 @@ def _agm_sequence(m: Modulus):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         a_seq.append(a)
         c_seq.append(c)
-    return a_seq, c_seq
+    return tuple(a_seq), tuple(c_seq)
 
 
 def complete_K(m: Modulus) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 agm(1, k'))."""
     if m.kprime == 0.0:
         raise DomainError("K(k) diverges as k -> 1")
-    a_seq, _ = _agm_sequence(m)
+    a_seq, _ = m._agm
     return math.pi / (2.0 * a_seq[-1])
 
 
@@ -77,7 +86,7 @@ def complete_E(m: Modulus) -> float:
     """
     if m.kprime == 0.0:
         return 1.0
-    a_seq, c_seq = _agm_sequence(m)
+    a_seq, c_seq = m._agm
     s = sum(2.0 ** (n - 1) * c * c for n, c in enumerate(c_seq))
     return math.pi / (2.0 * a_seq[-1]) * (1.0 - s)
 
@@ -110,7 +119,7 @@ def jacobi_sn_cn_dn(u, m: Modulus):
     else:
         K = complete_K(m)
         u_red = u_arr - 4.0 * K * np.floor(u_arr / (4.0 * K))
-        a_seq, c_seq = _agm_sequence(m)
+        a_seq, c_seq = m._agm
         n_last = len(a_seq) - 1
         phi = (2.0 ** n_last) * a_seq[n_last] * u_red
         for n in range(n_last, 0, -1):

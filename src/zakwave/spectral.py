@@ -10,6 +10,8 @@ decay geometrically and a few hundred modes give the low eigenvalues to
 rounding level.  Every potential built here is even about x = 0, so the
 matrix is real symmetric, and it commutes with the reflection that
 pairs kappa with -kappa (Magnus & Winkler, Hill's Equation, 1966).
+Its Toeplitz part is copied from strided windows of the coefficients,
+with no index matrix, and the parity blocks below are built from its slices.
 
 The L3/L4 spectra and constrained minima take M = (N - 1) // 4 and split
 the matrix into a cosine block and a sine block, each real symmetric
@@ -80,12 +82,14 @@ class HillOperator:
         """Real symmetric Floquet-Fourier-Hill matrix on the modes n = -M..M.
 
         Entry (n, m) is vhat[|n - m|], with vhat = rfft(V).real / N, and
-        the diagonal adds kappa_n^2 + shift.  M < N/4, so every difference
-        |n - m| <= 2M is below the Nyquist index and no coefficient
-        aliases.  The potential must be even about x = 0, V[-j mod N] =
-        V[j]: its odd part, max |Im rfft(V)| / max |rfft(V)|, above
-        EVEN_TOL raises DomainError, since dropping it would move the
-        eigenvalues.
+        the diagonal adds kappa_n^2 + shift.  The Toeplitz part is one copy
+        of the strided windows of (vhat[2M], ..., vhat[1], vhat[0], ...,
+        vhat[2M]), so the result is a fresh C-contiguous array the caller
+        may write.  M < N/4, so every difference |n - m| <= 2M is below the
+        Nyquist index and no coefficient aliases.  The potential must be
+        even about x = 0, V[-j mod N] = V[j]: its odd part, max |Im rfft(V)|
+        / max |rfft(V)|, above EVEN_TOL raises DomainError, since dropping
+        it would move the eigenvalues.
         """
         if not 1 <= M < self.N / 4:
             raise DomainError(f"M={M} modes need 1 <= M < N/4 = {self.N / 4}")
@@ -96,8 +100,12 @@ class HillOperator:
                 f"evenness check failed: the potential's odd part max|Im vhat| = "
                 f"{odd:.3g} exceeds {EVEN_TOL:g} x max|vhat|; the Hill solves need "
                 f"V(-x) = V(x) about x = 0")
+        # with c = (vhat[2M], ..., vhat[1], vhat[0], ..., vhat[2M]), row i
+        # is vhat[|i - j|] = c[2M - i + j]: the windows of c, last first
+        r = vhat.real[:2 * M + 1]
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((r[:0:-1], r)), r.size)
+        mat = windows[::-1].copy()
         n = np.arange(-M, M + 1)
-        mat = vhat.real[np.abs(n[:, None] - n[None, :])]
         mat[np.diag_indices(n.size)] += self._wavenumbers(boundary, n) ** 2 + self.shift
         return mat
 

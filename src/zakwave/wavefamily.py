@@ -82,13 +82,17 @@ def period_of(eta2: float, nu: float, alpha: float) -> float:
         raise DomainError(
             f"eta2={eta2} outside (0, sqrt(nu*alpha)={math.sqrt(nu * alpha)})"
         )
-    m = _modulus_of(eta2, nu, alpha)
+    return _period(eta2, nu, alpha, _modulus_of(eta2, nu, alpha))
+
+
+def _period(eta2: float, nu: float, alpha: float, m: Modulus) -> float:
+    """T(eta2) of `period_of`, given the modulus m of (eta2, nu, alpha)."""
     return 2.0 * math.sqrt(2.0 * alpha) / math.sqrt(2.0 * nu * alpha - eta2**2) * complete_K(m)
 
 
-def _period_deriv(eta2: float, nu: float, alpha: float) -> float:
-    """Analytic dT/deta2, assembled from dK/dk and dk/deta2; negative on the domain."""
-    m = _modulus_of(eta2, nu, alpha)
+def _period_deriv(eta2: float, nu: float, alpha: float, m: Modulus) -> float:
+    """Analytic dT/deta2, assembled from dK/dk and dk/deta2, given the
+    modulus m of (eta2, nu, alpha); negative on the domain."""
     denom = 2.0 * nu * alpha - eta2 * eta2
     dk_deta = -2.0 * eta2 * nu * alpha / (m.k * denom * denom)
     root = math.sqrt(denom)
@@ -133,14 +137,16 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
 
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        gx = g(x)
+        # T and dT/deta2 share one modulus, so each iterate runs one AGM
+        m = _modulus_of(x, nu, alpha)
+        gx = _period(x, nu, alpha, m) - L
         if abs(gx) <= tol:
             return x
         if gx > 0.0:
             lo = x
         else:
             hi = x
-        dg = _period_deriv(x, nu, alpha)
+        dg = _period_deriv(x, nu, alpha, m)
         x_new = x - gx / dg if dg != 0.0 else 0.5 * (lo + hi)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)

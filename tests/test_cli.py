@@ -3,15 +3,18 @@
 import filecmp
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zakwave import wavefamily
+from zakwave import cli, wavefamily
 from zakwave.cli import main
 from zakwave.dynamics import invariants, stability_experiment, wave_state
 from zakwave.wavefamily import build_wave, family_sweep
@@ -81,19 +84,30 @@ def test_unstable_timestep_is_blowup(capsys):
 STD_WAVE = ("--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2")
 
 
+RUN_WAVES = {
+    "evolve": STD_WAVE,
+    "stability": STD_WAVE + ("--delta", "1e-3", "--seed", "1"),
+    "solitary": ("--omega", "-1", "--c", "0.5", "--delta", "1e-3", "--seed", "1"),
+}
+
+
 def test_bad_time_step_or_end_time_is_domain_error(capsys):
-    runs = {
-        "evolve": STD_WAVE,
-        "stability": STD_WAVE + ("--delta", "1e-3", "--seed", "1"),
-        "solitary": ("--omega", "-1", "--c", "0.5", "--delta", "1e-3", "--seed", "1"),
-    }
-    for command, flags in runs.items():
+    for command, flags in RUN_WAVES.items():
         for bad in (("--dt", "0"), ("--dt", "nan"), ("--dt=-1e-3",),
                     ("--dt", "-1e-3"), ("--t-end", "-1"), ("--t-end", "inf")):
             code, _, err = run(capsys, command, *flags, *bad)
             assert code == 2, (command, bad)
             assert "domain error" in err
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(RUN_WAVES))
+def test_end_time_that_rounds_to_no_step_is_domain_error(capsys, command):
+    # round(t_end / dt) = round(0.1) = 0: the run would save t = 0 alone
+    code, out, err = run(capsys, command, *RUN_WAVES[command], "--dt", "10", "--t-end", "1")
+    assert code == 2
+    assert "domain error: dt=10.0 takes no step to t_end=1.0" in err
+    assert out == ""
 
 
 def test_stability_at_N512_does_not_blow_up(capsys):
@@ -464,6 +478,52 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
                        str(tmp_path / "missing.json"))
     assert code == 1
     assert "cannot read config" in err
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    codes = [run(capsys, *argv)[0] for argv in (
+        ("construct", "--L", "6.283185307179586", "--c", "0", "--nu", "1.0"),
+        ("frobnicate",), ("spectrum", "--operator", "L4", *STD_WAVE, "--N", "256"))]
+    assert codes == [0, 1, 0]
+    assert built == [1]
+
+
+def test_config_values_do_not_reach_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 6.283185307179586, "c": 0.0, "nu": 1.0, "samples": 16}))
+    code, _, _ = run(capsys, "construct", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    assert code == 0
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + 16
+    code, _, err = run(capsys, "construct")
+    assert code == 1
+    assert "missing required parameter(s): --L, --c, --nu" in err
+    code, _, _ = run(capsys, "construct", "--L", "6.283185307179586", "--c", "0", "--nu", "1.0",
+                     "--out", str(tmp_path / "b.csv"))
+    assert code == 0
+    assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + 512
+
+
+def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path, capsys):
+    argv = ["spectrum", "--operator", "L4", *STD_WAVE, "--N", "256", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "zakwave.cli", *argv,
+                            "--out", str(tmp_path / "fresh.json")],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert fresh.returncode == 0, fresh.stderr
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps({"operator": "L5"}))
+    for bad in (("spectrum", "--operator", "bogus"), ("stability", "--N", "1.5"),
+                ("frobnicate",), ("spectrum", *STD_WAVE, "--config", str(bad_cfg))):
+        code, _, _ = run(capsys, *bad)
+        assert code == 1, bad
+        out = tmp_path / "inproc.json"
+        assert run(capsys, *argv, "--out", str(out)) == (0, fresh.stdout, fresh.stderr)
+        assert filecmp.cmp(out, tmp_path / "fresh.json", shallow=False), bad
 
 
 def test_config_fills_flags_that_have_parser_defaults(tmp_path, capsys):

@@ -197,6 +197,20 @@ def test_evolve_rejects_malformed_batches(wave_c0):
             evolve(states, wave_c0, grid, dt=1e-3, t_end=1e-3, metadata=meta)
 
 
+def test_evolve_rejects_an_end_time_that_rounds_to_no_step(wave_c0):
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    s0 = wave_state(wave_c0, grid)
+    # round(t_end / dt) = 0, with 0.5 rounding to even
+    for dt, t_end in ((10.0, 1.0), (1e-3, 4e-4), (2e-3, 1e-3)):
+        with pytest.raises(DomainError) as exc:
+            evolve([s0], wave_c0, grid, dt=dt, t_end=t_end)
+        assert f"dt={dt} takes no step to t_end={t_end}" in str(exc.value)
+    # t_end = 0 saves the initial state alone; a rounded-up half step is one step
+    for t_end, times in ((0.0, [0.0]), (6e-4, [0.0, 1e-3])):
+        rec, = evolve([s0], wave_c0, grid, dt=1e-3, t_end=t_end)
+        assert rec.times.tolist() == times
+
+
 def test_grid_arrays_are_cached_and_read_only():
     grid = GridSpec(L=2.0 * math.pi, N=64)
     for name in ("xs", "k", "dealias_mask"):

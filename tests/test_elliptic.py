@@ -1,5 +1,6 @@
 """Elliptic-function layer against independent quadrature and ODE oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+from zakwave import elliptic
 from zakwave.elliptic import (
     Modulus,
     complete_E,
@@ -111,6 +113,30 @@ def test_modulus_rejects_out_of_range():
         Modulus.from_k(1.5)
     with pytest.raises(DomainError):
         Modulus.from_kprime_sq(-0.1)
+
+
+def test_each_modulus_runs_its_agm_once(monkeypatch):
+    calls = []
+    agm = elliptic._agm_sequence
+    monkeypatch.setattr(elliptic, "_agm_sequence", lambda m: calls.append(m) or agm(m))
+    m = Modulus.from_k(0.7)
+    dK_dk(m)
+    assert len(calls) == 1
+    m2 = Modulus.from_kprime_sq(0.3)
+    K, E = complete_K(m2), complete_E(m2)
+    jacobi_sn_cn_dn(np.linspace(0.0, 4.0 * K, 9), m2)
+    assert calls == [m, m2]
+    assert (K, E) == (complete_K(Modulus.from_kprime_sq(0.3)),
+                      complete_E(Modulus.from_kprime_sq(0.3)))
+
+
+def test_modulus_cache_is_no_dataclass_field():
+    fresh, used = Modulus.from_k(0.7), Modulus.from_k(0.7)
+    complete_E(used)
+    assert [f.name for f in dataclasses.fields(Modulus)] == ["k", "kprime"]
+    assert fresh == used and hash(fresh) == hash(used) == hash((0.7, used.kprime))
+    assert repr(used) == repr(fresh)
+    assert Modulus.from_k(0.7) != Modulus.from_k(0.5)
 
 
 # --------------------------------------------------------------------------

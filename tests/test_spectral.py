@@ -188,6 +188,25 @@ def test_fourier_matrix_is_the_full_matrix_on_modes_minus_M_to_M(boundary, wave_
     assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(F))
 
 
+@pytest.mark.parametrize("N", [32, 512, 1024])
+def test_fourier_matrix_is_bitwise_the_index_gather(N):
+    # reference: the Toeplitz part gathered through an |n - m| index matrix
+    rng = np.random.default_rng(N)
+    V = rng.standard_normal(N)
+    V = V + np.roll(V[::-1], 1)  # even: V[-j mod N] = V[j]
+    op = assemble(7.0, 0.3, V, N)
+    for M in (1, N // 8, (N - 1) // 4):
+        for boundary in ("periodic", "semiperiodic"):
+            n = np.arange(-M, M + 1)
+            ref = (np.fft.rfft(V) / N).real[np.abs(n[:, None] - n[None, :])]
+            ref[np.diag_indices(n.size)] += op._wavenumbers(boundary, n) ** 2 + op.shift
+            F = op.fourier_matrix(boundary, M)
+            assert np.array_equal(F, ref), (M, boundary)
+            assert F.flags.writeable and F.flags.c_contiguous and F.flags.owndata
+            F[...] = np.nan
+            assert np.array_equal(op.fourier_matrix(boundary, M), ref), (M, boundary)
+
+
 def test_fourier_matrix_rejects_aliasing_mode_counts():
     op = assemble(5.0, 0.0, np.zeros(64), 64)
     for M in (0, -1, 16, 40):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipk
 
-from zakwave import wavefamily
+from zakwave import elliptic, wavefamily
 from zakwave.elliptic import Modulus, complete_E, complete_K
 from zakwave.errors import DomainError, NoSolutionError
 from zakwave.wavefamily import (
@@ -107,6 +107,30 @@ def test_solve_eta2_below_threshold_raises():
 def test_solve_eta2_rejects_supersonic_speed():
     with pytest.raises(DomainError):
         solve_eta2(2.0 * math.pi, 1.0, 1.0)
+
+
+def test_solve_eta2_runs_one_agm_per_iterate(monkeypatch):
+    # each bracket check and each iterate builds one modulus and runs its AGM
+    # once: T and dT/deta2 of an iterate read the same modulus
+    modulus_of, log = wavefamily._modulus_of, {}
+
+    def spy(owner, attr):
+        fn, calls = getattr(owner, attr), log.setdefault(attr, [])
+        monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or fn(*args))
+
+    for owner, attr in ((elliptic, "_agm_sequence"), (wavefamily, "_modulus_of"),
+                        (wavefamily, "period_of"), (wavefamily, "_period_deriv")):
+        spy(owner, attr)
+    for L, c, nu in [(2 * math.pi, 0.0, 1.0), (8.0 * math.pi, 0.5, 0.2), (20.0, -0.5, 0.3)]:
+        for calls in log.values():
+            calls.clear()
+        solve_eta2(L, c, nu)
+        # the converged iterate needs no slope
+        iterates = len(log["_period_deriv"]) + 1
+        assert iterates >= 2
+        assert len(log["_modulus_of"]) == len(log["period_of"]) + iterates
+        assert ([args[0] for args in log["_agm_sequence"]]
+                == [modulus_of(*args) for args in log["_modulus_of"]])
 
 
 # --------------------------------------------------------------------------
