@@ -1,10 +1,9 @@
 """Command-line front end: wave construction, family sweeps, Hill spectra,
 and evolution / stability experiments.
 
-Exit codes: 0 success, 1 usage error, 2 domain violation or a spectrum
-not converged at the requested --N, 3 verdict failure, 4 blow-up during
-time integration.  An optional JSON config file supplies parameter
-defaults; explicit command-line flags override it.
+Each command returns nothing and fails by raising; `main` alone turns
+every outcome into an exit code.  An optional JSON config file supplies
+parameter defaults; explicit command-line flags override it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .dynamics import solitary_experiment, stability_experiment
-from .errors import AccuracyError, BlowUpError, DomainError
+from .errors import AccuracyError, BlowUpError, DomainError, VerdictError
 from .output import fmt, write_csv, write_json
 from .spectral import (
     hill_L3,
@@ -73,13 +72,17 @@ class _Columns:
 
 
 def _write(result, args) -> None:
-    """Save a family table, spectrum, record or `_Columns` to --out in --format."""
+    """Save a family table, spectrum, record or `_Columns` to --out in
+    --format; an --out that cannot be written is a usage error."""
     if args.out is None:
         return
-    if args.format == "json":
-        result.to_json(args.out)
-    else:
-        result.to_csv(args.out)
+    try:
+        if args.format == "json":
+            result.to_json(args.out)
+        else:
+            result.to_csv(args.out)
+    except OSError as exc:
+        _usage_error(f"cannot write --out {args.out}: {exc}")
 
 
 def _usage_error(message: str):
@@ -159,7 +162,7 @@ def _load_wave_args(args):
 # --------------------------------------------------------------------------
 # construct
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     if args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
     w = _load_wave_args(args)
@@ -173,13 +176,12 @@ def cmd_construct(args) -> int:
                      "phi_prime": w.phi_prime(xs)}, head={"params": asdict(p)}), args)
     print(f"wave: eta1={fmt(p.eta1)} eta2={fmt(p.eta2)} k={fmt(p.k)} "
           f"omega={fmt(p.omega)} d0={fmt(p.d0)}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # sweep
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     _require(args, ["L", "c", "nu-min", "nu-max"])
     if args.points < 2:
         _usage_error(f"--points must be at least 2, got {args.points}")
@@ -189,30 +191,29 @@ def cmd_sweep(args) -> int:
         if not (math.isfinite(val) and val > 0.0):
             raise DomainError(f"{name}={val} must be finite and positive")
     grid = np.geomspace(args.nu_min, args.nu_max, args.points)
-    try:
-        table = family_sweep(args.L, args.c, grid)
-    except AssertionError as exc:
-        print(f"verdict FAIL: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+    table = family_sweep(args.L, args.c, grid)
     _write(table, args)
     print(f"sweep: {len(table.rows)} rows, eta2 decreasing, k and mass increasing")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # spectrum
 
-def _verdict(name: str, ok: bool, detail: str, failures: list) -> None:
-    print(f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}")
-    if not ok:
-        failures.append(name)
+def _judge(result, args, verdicts) -> None:
+    """Print each (name, ok, detail) verdict as a [pass] or [FAIL] line,
+    save result to --out, then raise VerdictError naming every failure."""
+    for name, ok, detail in verdicts:
+        print(f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}")
+    _write(result, args)
+    failures = [name for name, ok, _ in verdicts if not ok]
+    if failures:
+        raise VerdictError(", ".join(failures))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     w = _load_wave_args(args)
     p = w.params
     nu = p.nu
-    failures: list = []
 
     if args.operator == "lame":
         if args.modes is not None:
@@ -225,18 +226,14 @@ def cmd_spectrum(args) -> int:
         print(f"  semi-infinite: (-inf, {fmt(intervals[0][1])})")
         for (lo, hi), w_ in zip(finite, widths):
             print(f"  ({fmt(lo)}, {fmt(hi)}) width {fmt(w_)}")
-        _verdict("three instability intervals",
-                 wide == 2, f"semi-infinite + {wide} finite gaps of width > 1e-4",
-                 failures)
-        _verdict("higher gaps closed",
-                 all(w_ <= 1e-6 for w_ in widths[2:]),
-                 f"max residual gap {fmt(max(widths[2:]))}", failures)
-        _write(_Columns({"gap_lo": [lo for lo, _ in intervals],
-                         "gap_hi": [hi for _, hi in intervals]}), args)
-        if failures:
-            print(f"verdict FAIL: {', '.join(failures)}", file=sys.stderr)
-            return EXIT_VERDICT
-        return EXIT_OK
+        _judge(_Columns({"gap_lo": [lo for lo, _ in intervals],
+                         "gap_hi": [hi for _, hi in intervals]}), args, [
+            ("three instability intervals",
+             wide == 2, f"semi-infinite + {wide} finite gaps of width > 1e-4"),
+            ("higher gaps closed",
+             all(w_ <= 1e-6 for w_ in widths[2:]), f"max residual gap {fmt(max(widths[2:]))}"),
+        ])
+        return
 
     # the verdicts read lambda_0 .. lambda_2
     modes = 8 if args.modes is None else args.modes
@@ -256,31 +253,25 @@ def cmd_spectrum(args) -> int:
 
     if args.operator == "L4":
         a = align(spec.eigenvectors[0], w.phi(xs))
-        _verdict("lambda0 ~ 0", abs(lam[0]) <= 1e-6 * nu, f"|lambda0|={fmt(abs(lam[0]))}", failures)
-        _verdict("lambda0 simple", lam[1] - lam[0] > 1e-3 * nu,
-                 f"gap={fmt(lam[1] - lam[0])}", failures)
-        _verdict("ground state ~ phi", a >= 0.9999, f"alignment={fmt(a)}", failures)
+        verdicts = [("lambda0 ~ 0", abs(lam[0]) <= 1e-6 * nu, f"|lambda0|={fmt(abs(lam[0]))}"),
+                    ("lambda0 simple", lam[1] - lam[0] > 1e-3 * nu, f"gap={fmt(lam[1] - lam[0])}"),
+                    ("ground state ~ phi", a >= 0.9999, f"alignment={fmt(a)}")]
     else:
         a = align(spec.eigenvectors[1], w.phi_prime(xs))
-        _verdict("lambda0 < 0", lam[0] < -1e-4 * nu, f"lambda0={fmt(lam[0])}", failures)
-        _verdict("lambda1 ~ 0", abs(lam[1]) <= 1e-6 * nu, f"|lambda1|={fmt(abs(lam[1]))}", failures)
-        _verdict("lambda2 > 0", lam[2] > 1e-4 * nu, f"lambda2={fmt(lam[2])}", failures)
-        _verdict("first three separated",
-                 lam[1] - lam[0] > 1e-3 * nu and lam[2] - lam[1] > 1e-3 * nu,
-                 f"gaps {fmt(lam[1] - lam[0])}, {fmt(lam[2] - lam[1])}", failures)
-        _verdict("second eigenvector ~ phi'", a >= 0.9999, f"alignment={fmt(a)}", failures)
-
-    _write(spec, args)
-    if failures:
-        print(f"verdict FAIL: {', '.join(failures)}", file=sys.stderr)
-        return EXIT_VERDICT
-    return EXIT_OK
+        verdicts = [("lambda0 < 0", lam[0] < -1e-4 * nu, f"lambda0={fmt(lam[0])}"),
+                    ("lambda1 ~ 0", abs(lam[1]) <= 1e-6 * nu, f"|lambda1|={fmt(abs(lam[1]))}"),
+                    ("lambda2 > 0", lam[2] > 1e-4 * nu, f"lambda2={fmt(lam[2])}"),
+                    ("first three separated",
+                     lam[1] - lam[0] > 1e-3 * nu and lam[2] - lam[1] > 1e-3 * nu,
+                     f"gaps {fmt(lam[1] - lam[0])}, {fmt(lam[2] - lam[1])}"),
+                    ("second eigenvector ~ phi'", a >= 0.9999, f"alignment={fmt(a)}")]
+    _judge(spec, args, verdicts)
 
 
 # --------------------------------------------------------------------------
 # evolution commands
 
-def _report_record(rec, args) -> int:
+def _report_record(rec, args) -> None:
     """Print a run's summary and save its record.
 
     The drift of a conserved series a is max|a - a(0)| / |a(0)|, except
@@ -304,7 +295,6 @@ def _report_record(rec, args) -> int:
     print(f"deltaB spread: {fmt(float(np.max(np.abs(db - db[0]))))}")
     print(f"sup rho_nu: {fmt(float(np.max(rec.rho_nu)))}")
     _write(rec, args)
-    return EXIT_OK
 
 
 def _require_seed(args) -> None:
@@ -312,21 +302,21 @@ def _require_seed(args) -> None:
         _usage_error(f"--seed must be non-negative, got {args.seed}")
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> None:
     """A seeded perturbed run; `evolve` is this command at delta 0, seed 0."""
     _require(args, ["delta", "seed"])
     _require_seed(args)
     w = _load_wave_args(args)
-    return _report_record(stability_experiment(
+    _report_record(stability_experiment(
         w, delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed,
         respect_mean_condition=args.respect_mean_condition, N=args.N,
         renormalize_q2=args.renormalize_q2), args)
 
 
-def cmd_solitary(args) -> int:
+def cmd_solitary(args) -> None:
     _require(args, ["omega", "c", "delta", "seed"])
     _require_seed(args)
-    return _report_record(solitary_experiment(
+    _report_record(solitary_experiment(
         omega=args.omega, c=args.c, box_factor=args.box_factor,
         delta=args.delta, t_end=args.t_end, dt=args.dt, seed=args.seed, N=args.N), args)
 
@@ -435,7 +425,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one zakwave command and return its exit code.
+    """Run one zakwave command and return its exit code: 0 success, 1 usage
+    error, 2 domain violation or a spectrum not converged at the requested
+    --N, 3 verdict failure, 4 blow-up during time integration.
 
     Every call in a process parses with the same parser, built by the
     first call: argparse reads it without changing it, and a --config
@@ -448,9 +440,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = _apply_config(parser, args, argv)
-        return args.func(args)
+        args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    except VerdictError as exc:
+        print(f"verdict FAIL: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     except BlowUpError as exc:
         print(f"blow-up at t={exc.t:.6g}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -460,6 +455,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy error: {exc} (try a larger --N)", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["DomainError", "NoSolutionError", "AccuracyError", "BlowUpError"]
+__all__ = ["DomainError", "NoSolutionError", "AccuracyError", "BlowUpError", "VerdictError"]
 
 
 class DomainError(ValueError):
@@ -22,3 +22,7 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.member = member
         super().__init__(f"field blow-up detected at t={t:.6g} in member {member}")
+
+
+class VerdictError(RuntimeError):
+    """A computed result failed one of the paper's checkable claims."""

@@ -15,12 +15,13 @@ Jacobi formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import Modulus, complete_E, complete_K, dK_dk, jacobi_sn_cn_dn
-from .errors import DomainError, NoSolutionError
+from .errors import DomainError, NoSolutionError, VerdictError
 from .output import write_csv, write_json
 
 __all__ = [
@@ -41,8 +42,18 @@ __all__ = [
 
 
 def nu_threshold(L: float) -> float:
-    """Least admissible nu for period L (the period infimum is pi sqrt(2/nu))."""
-    return 2.0 * math.pi**2 / L**2
+    """Least admissible nu for period L (the period infimum is pi sqrt(2/nu)).
+
+    An L whose threshold is no finite positive double, because L**2
+    overflows or underflows, is a domain error naming L.
+    """
+    try:
+        thr = 2.0 * math.pi**2 / L**2
+    except ArithmeticError:
+        thr = 0.0
+    if not 0.0 < thr < math.inf:
+        raise DomainError(f"period L={L} is out of range: 2*pi^2/L^2 is no finite positive double")
+    return thr
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,9 @@ def _period_deriv(eta2: float, nu: float, alpha: float, m: Modulus) -> float:
     )
 
 
+_TOO_LONG = "period L={L} is too long for double precision at nu={nu}: k'^2 underflows"
+
+
 def solve_eta2(L: float, c: float, nu: float) -> float:
     """Unique eta2 in (0, sqrt(nu alpha)) with period_of(eta2) = L.
 
@@ -108,6 +122,10 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
     then Newton steps with the analytic derivative polish the root;
     any Newton step leaving the bracket falls back to bisection.  The
     root is accepted once |period_of(eta2) - L| <= 1e-12 L.
+
+    The period grows like log(1/k') as k' -> 0, and k'^2 underflows near
+    L sqrt(nu) = 750: a longer period, or one whose subnormal k'^2 cannot
+    resolve the tolerance, raises NoSolutionError naming that limit.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise DomainError(f"period L={L} must be finite and positive")
@@ -130,13 +148,16 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
     g = lambda e: period_of(e, nu, alpha) - L
     while g(lo) <= 0.0:
         lo *= 0.5
-        if lo < 1e-300:
-            raise NoSolutionError("left bracket collapse in solve_eta2")
+        if _kprime_sq(lo, nu, alpha) == 0.0:
+            raise NoSolutionError(_TOO_LONG.format(L=L, nu=nu))
     if g(hi) >= 0.0:
         raise NoSolutionError("right bracket failure in solve_eta2")
 
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    # a step that Newton cannot take halves the bracket, and a long period
+    # puts the root far below its top (eta2 ~ 1e-65 at L sqrt(nu) = 270):
+    # reaching the smallest double takes about 1,075 halvings
+    for _ in range(1100):
         # T and dT/deta2 share one modulus, so each iterate runs one AGM
         m = _modulus_of(x, nu, alpha)
         gx = _period(x, nu, alpha, m) - L
@@ -155,6 +176,8 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
         x = x_new
     if abs(g(x)) <= tol:
         return x
+    if _kprime_sq(x, nu, alpha) < sys.float_info.min:
+        raise NoSolutionError(_TOO_LONG.format(L=L, nu=nu))
     raise NoSolutionError(f"solve_eta2 stalled with residual {g(x):.3e}")
 
 
@@ -333,8 +356,8 @@ def family_sweep(L: float, c: float, nu_grid) -> FamilyTable:
     """Construct the wave at every nu in nu_grid and verify the monotone chains.
 
     eta2 must decrease strictly and k / mass increase strictly along
-    increasing nu; any violation or failed construction raises with the
-    offending nu.
+    increasing nu.  A failed construction raises NoSolutionError and a
+    broken chain VerdictError, each naming the offending nu.
     """
     rows = []
     for nu in nu_grid:
@@ -349,9 +372,9 @@ def family_sweep(L: float, c: float, nu_grid) -> FamilyTable:
         })
     for prev, cur in zip(rows, rows[1:]):
         if not cur["eta2"] < prev["eta2"]:
-            raise AssertionError(f"eta2 chain not strictly decreasing at nu={cur['nu']}")
+            raise VerdictError(f"eta2 chain not strictly decreasing at nu={cur['nu']}")
         if not cur["k"] > prev["k"]:
-            raise AssertionError(f"k chain not strictly increasing at nu={cur['nu']}")
+            raise VerdictError(f"k chain not strictly increasing at nu={cur['nu']}")
         if not cur["mass"] > prev["mass"]:
-            raise AssertionError(f"mass chain not strictly increasing at nu={cur['nu']}")
+            raise VerdictError(f"mass chain not strictly increasing at nu={cur['nu']}")
     return FamilyTable(L=L, c=c, rows=rows)

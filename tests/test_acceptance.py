@@ -12,6 +12,7 @@ from scipy.integrate import quad, solve_ivp
 
 from zakwave.elliptic import Modulus, complete_E, complete_K, jacobi_sn_cn_dn
 from zakwave.dynamics import GridSpec, band_limited_perturbation, orbital_distance, wave_state
+from zakwave.errors import VerdictError
 from zakwave.spectral import (
     constrained_rayleigh_min,
     hill_L3,
@@ -94,7 +95,7 @@ def test_criterion_03_monotone_chains():
             for c in CS:
                 try:
                     table = family_sweep(L, c, grid)
-                except AssertionError as exc:
+                except VerdictError as exc:
                     ok, detail = False, str(exc)
                     break
                 eta2 = table.column("eta2")

@@ -1,6 +1,7 @@
 """Exit-code contract, output formats, and config precedence of the CLI."""
 
 import filecmp
+import inspect
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 from zakwave import cli, wavefamily
 from zakwave.cli import main
 from zakwave.dynamics import invariants, stability_experiment, wave_state
+from zakwave.errors import AccuracyError, VerdictError
 from zakwave.wavefamily import build_wave, family_sweep
 
 
@@ -160,7 +162,7 @@ def test_falling_mass_chain_fails_sweep(monkeypatch, tmp_path, capsys):
     # mass raises there and the CLI reports it as a verdict failure
     falling = itertools.count()
     monkeypatch.setattr(wavefamily, "mass_integral", lambda w: -float(next(falling)))
-    with pytest.raises(AssertionError, match="mass chain"):
+    with pytest.raises(VerdictError, match="mass chain"):
         family_sweep(6.283185307179586, 0.0, np.geomspace(0.6, 5.0, 4))
     out = tmp_path / "family.csv"
     code, _, err = run(capsys, "sweep", "--L", "6.283185307179586",
@@ -168,6 +170,62 @@ def test_falling_mass_chain_fails_sweep(monkeypatch, tmp_path, capsys):
                        "--points", "4", "--out", str(out))
     assert code == 3
     assert "mass chain not strictly increasing" in err
+
+
+def test_only_main_chooses_an_exit_code():
+    # a failed check raises, never AssertionError, and cli.main alone turns
+    # each outcome into its exit code
+    lines = [(path.name, i, line)
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)]
+    assert [f"{name}:{i}" for name, i, line in lines if "AssertionError" in line] == []
+    returns = [line for _, _, line in lines if "return EXIT_" in line]
+    assert returns == [line for line in inspect.getsource(main).splitlines()
+                       if "return EXIT_" in line]
+
+
+def _falling_mass(monkeypatch):
+    falling = itertools.count()
+    monkeypatch.setattr(wavefamily, "mass_integral", lambda w: -float(next(falling)))
+
+
+def _unconverged_lame(monkeypatch):
+    def fail(m, N):
+        raise AccuracyError(f"band edges moved between N/8 and N/4 modes at N={N}")
+    monkeypatch.setattr(cli, "instability_intervals", fail)
+
+
+@pytest.mark.parametrize("patch,argv,code,prefix", [
+    (None, ("construct", "--bogus"), 1, "usage: zakwave"),
+    (None, ("construct", "--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2",
+            "--out", "{tmp}/no/such/dir/w.csv"), 1, "error: cannot write --out {tmp}/no/such"),
+    (None, ("construct", "--L", "1e-200", "--c", "0", "--nu", "1"), 2,
+     "domain error: period L=1e-200"),
+    (None, ("construct", "--L", "1e200", "--c", "0", "--nu", "1"), 2,
+     "domain error: period L=1e+200"),
+    (None, ("sweep", "--L", "1e-170", "--c", "0", "--nu-min", "1", "--nu-max", "2",
+            "--points", "2"), 2, "domain error: family_sweep failed at nu=1.0: period L=1e-170"),
+    (_unconverged_lame, ("spectrum", "--operator", "lame", *STD_WAVE), 2,
+     "accuracy error: band edges moved"),
+    (_falling_mass, ("sweep", "--L", "6.283185307179586", "--c", "0", "--nu-min", "0.6",
+                     "--nu-max", "5.0", "--points", "4"), 3,
+     "verdict FAIL: mass chain not strictly increasing"),
+    (None, ("spectrum", "--operator", "lame", "--L", "6.283185307179586", "--c", "0",
+            "--nu", "0.5000005"), 3, "verdict FAIL: three instability intervals\n"),
+    (None, ("evolve", "--L", "6.283185307179586", "--c", "0", "--nu", "1.0",
+            "--dt", "0.05", "--t-end", "2.0"), 4, "blow-up at t="),
+], ids=["usage-flag", "usage-out", "domain-L-tiny", "domain-L-huge", "domain-sweep-L",
+        "accuracy", "verdict-mass-chain", "verdict-lame-gaps", "blow-up"])
+def test_main_returns_the_exit_code_of_each_failure_class(
+        monkeypatch, tmp_path, capsys, patch, argv, code, prefix):
+    if patch is not None:
+        patch(monkeypatch)
+    try:
+        returned = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"main raised {exc!r} instead of returning an exit code")
+    assert returned == code
+    assert capsys.readouterr().err.startswith(prefix.replace("{tmp}", str(tmp_path)))
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +275,13 @@ RUN_FLAGS = ("--seed", "1", "--t-end", "0.05")
     ("nu_max=inf", ("sweep", "--L", "8", "--c", "0", "--nu-min", "0.6", "--nu-max", "inf")),
     # N = 64 solves on the Fourier modes |n| <= 15: at most 31 eigenpairs
     ("at most 31", ("spectrum", "--operator", "L3", *STD_WAVE, "--N", "64", "--modes", "32")),
+    # 2 pi^2 / L^2 is no finite positive double once L**2 under- or overflows
+    ("L=1e-200", ("construct", "--L", "1e-200", "--c", "0", "--nu", "1")),
+    ("L=1e+200", ("construct", "--L", "1e200", "--c", "0", "--nu", "1")),
+    ("L=1e-170", ("sweep", "--L", "1e-170", "--c", "0", "--nu-min", "1", "--nu-max", "2",
+                  "--points", "2")),
+    # k'^2 underflows before the period reaches L sqrt(nu) = 1000
+    ("L=1000.0 is too long", ("construct", "--L", "1000", "--c", "0", "--nu", "1")),
 ])
 def test_bad_input_is_domain_error_naming_the_parameter(capsys, named, argv):
     with warnings.catch_warnings():

@@ -104,6 +104,25 @@ def test_solve_eta2_below_threshold_raises():
         solve_eta2(L, 0.0, nu_threshold(L))
 
 
+def test_solve_eta2_reaches_long_periods():
+    # eta2 is about 1e-65 at L sqrt(nu) = 270 and 1e-156 at 720: hundreds of
+    # bracket halvings below sqrt(nu alpha)
+    for L, c, nu in [(300.0, 0.0, 1.0), (8.0 * math.pi, 0.5, 150.0), (720.0, 0.0, 1.0)]:
+        w = _quiet_build(L, c, nu)
+        p = w.params
+        assert p.eta2 < 1e-60
+        assert abs(period_of(p.eta2, nu, p.alpha) - L) <= 1e-12 * L
+        assert max(ode_residuals(w)) <= 1e-14 * max(1.0, p.eta1**3)
+
+
+@pytest.mark.parametrize("L", [730.0, 748.0, 1000.0])
+def test_solve_eta2_names_the_long_period_limit(L):
+    # past L sqrt(nu) = 720 a subnormal k'^2 cannot resolve the period to
+    # 1e-12 L, and past 748 it underflows to 0
+    with pytest.raises(NoSolutionError, match=f"period L={L} is too long for double precision"):
+        solve_eta2(L, 0.0, 1.0)
+
+
 def test_solve_eta2_rejects_supersonic_speed():
     with pytest.raises(DomainError):
         solve_eta2(2.0 * math.pi, 1.0, 1.0)
