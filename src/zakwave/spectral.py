@@ -56,9 +56,9 @@ __all__ = [
 # A dnoidal potential's odd part is its period residual: dn repeats after
 # 2K sqrt(2 alpha) / eta1, which matches L to the 1e-12 tolerance of
 # `solve_eta2`, and a steep profile magnifies that.  L3/L4 potentials reach
-# 1.9e-12 on the README and standard sweep grids (N = 256..1024), 1.9e-11
-# on 400-point grids over the same nu ranges and 6.8e-11 out to nu = 200;
-# Lame potentials stay below 2e-16.
+# 6.1e-12 on the README and standard sweep grids (N = 256..1024), 1.0e-11
+# on 400-point grids over the same nu ranges and 9.1e-12 on 400-point
+# grids out to nu = 200; Lame potentials stay below 2e-16.
 EVEN_TOL = 1e-8
 
 
@@ -257,7 +257,8 @@ def lame_eigen_analytic(m: Modulus):
     1 - beta sn^2 yields the quadratic with roots
     rho = 2(1 + k^2) -/+ 2 sqrt((1 + k^2)^2 - 3 k^2).
     """
-    if not 0.0 < m.k < 1.0:
+    # k may round to 1.0 while k' > 0; the formulas stay finite there
+    if not (m.k > 0.0 and m.kprime > 0.0):
         raise DomainError("lame_eigen_analytic needs k in (0, 1)")
     k2 = m.k**2
     disc = math.sqrt((1.0 + k2) ** 2 - 3.0 * k2)

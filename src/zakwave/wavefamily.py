@@ -6,6 +6,11 @@ profile is phi(xi) = eta1 dn(eta1 xi / sqrt(2 alpha); k) with
 alpha = 1 - c^2, the density profile is psi = -phi^2 / alpha, and the
 zero-mean flux profile varphi = c psi - d0.
 
+Each wave is built from its scale-free modulus: along the family
+2 K(k) sqrt(1 + k'^2) = L sqrt(nu), so `solve_eta2` solves for k' alone
+and eta1^2 = 2 nu alpha / (1 + k'^2), eta2 = k' eta1 follow in closed
+form; c enters only through alpha.
+
 The solitary wave is the L -> infinity end of the same family: there
 k -> 1, eta2 -> 0, dn = cn = sech and E/K -> 0, so `solitary_wave` builds
 a `DnoidalWave` at k = 1 and every profile goes through the one set of
@@ -72,20 +77,12 @@ class WaveParams:
     Aphi: float
 
 
-def _kprime_sq(eta2: float, nu: float, alpha: float) -> float:
-    # k'^2 = eta2^2 / (2 nu alpha - eta2^2); free of the 1 - k^2 cancellation
-    return eta2 * eta2 / (2.0 * nu * alpha - eta2 * eta2)
-
-
-def _modulus_of(eta2: float, nu: float, alpha: float) -> Modulus:
-    return Modulus.from_kprime_sq(_kprime_sq(eta2, nu, alpha))
-
-
 def period_of(eta2: float, nu: float, alpha: float) -> float:
     """Fundamental period T(eta2) = 2 sqrt(2 alpha) K(k) / sqrt(2 nu alpha - eta2^2).
 
     Strictly decreasing on (0, sqrt(nu alpha)), diverging at the left
-    endpoint and tending to pi sqrt(2/nu) at the right one.
+    endpoint and tending to pi sqrt(2/nu) at the right one.  It is the
+    independent check of `solve_eta2`, which never evaluates it.
     """
     if nu <= 0.0 or alpha <= 0.0:
         raise DomainError("period_of requires nu > 0 and alpha > 0")
@@ -93,39 +90,30 @@ def period_of(eta2: float, nu: float, alpha: float) -> float:
         raise DomainError(
             f"eta2={eta2} outside (0, sqrt(nu*alpha)={math.sqrt(nu * alpha)})"
         )
-    return _period(eta2, nu, alpha, _modulus_of(eta2, nu, alpha))
-
-
-def _period(eta2: float, nu: float, alpha: float, m: Modulus) -> float:
-    """T(eta2) of `period_of`, given the modulus m of (eta2, nu, alpha)."""
-    return 2.0 * math.sqrt(2.0 * alpha) / math.sqrt(2.0 * nu * alpha - eta2**2) * complete_K(m)
-
-
-def _period_deriv(eta2: float, nu: float, alpha: float, m: Modulus) -> float:
-    """Analytic dT/deta2, assembled from dK/dk and dk/deta2, given the
-    modulus m of (eta2, nu, alpha); negative on the domain."""
     denom = 2.0 * nu * alpha - eta2 * eta2
-    dk_deta = -2.0 * eta2 * nu * alpha / (m.k * denom * denom)
-    root = math.sqrt(denom)
-    return 2.0 * math.sqrt(2.0 * alpha) * (
-        eta2 / root**3 * complete_K(m) + dK_dk(m) * dk_deta / root
-    )
+    # k'^2 = eta2^2 / (2 nu alpha - eta2^2); free of the 1 - k^2 cancellation
+    m = Modulus.from_kprime_sq(eta2 * eta2 / denom)
+    return 2.0 * math.sqrt(2.0 * alpha) / math.sqrt(denom) * complete_K(m)
 
 
 _TOO_LONG = "period L={L} is too long for double precision at nu={nu}: k'^2 underflows"
+_MAX_NEWTON = 50
 
 
 def solve_eta2(L: float, c: float, nu: float) -> float:
     """Unique eta2 in (0, sqrt(nu alpha)) with period_of(eta2) = L.
 
-    Safeguarded bracketed solve: bisection narrows the monotone bracket,
-    then Newton steps with the analytic derivative polish the root;
-    any Newton step leaving the bracket falls back to bisection.  The
-    root is accepted once |period_of(eta2) - L| <= 1e-12 L.
+    Along the family the wave depends on L sqrt(nu) only: its modulus
+    solves g(s) = 2 K(k) sqrt(1 + k'^2) - L sqrt(nu) = 0 in s = ln k',
+    and then eta1^2 = 2 nu alpha / (1 + k'^2) and eta2 = k' eta1.  Newton
+    steps with the analytic slope start from K ~ ln(4/k'), where g > 0;
+    g is convex and decreasing in s, so the iterates rise monotonically
+    to the root, and each one builds one modulus.  The root is accepted
+    once |g| <= 1e-12 L sqrt(nu), which is |period_of(eta2) - L| <= 1e-12 L.
 
-    The period grows like log(1/k') as k' -> 0, and k'^2 underflows near
-    L sqrt(nu) = 750: a longer period, or one whose subnormal k'^2 cannot
-    resolve the tolerance, raises NoSolutionError naming that limit.
+    The period grows like log(1/k') as k' -> 0, and k'^2 turns subnormal
+    near L sqrt(nu) = 720: a longer period, whose k'^2 underflows or
+    cannot resolve the tolerance, raises NoSolutionError naming that limit.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise DomainError(f"period L={L} must be finite and positive")
@@ -140,45 +128,26 @@ def solve_eta2(L: float, c: float, nu: float) -> float:
             f"nu={nu} <= 2*pi^2/L^2={nu_threshold(L)}: the period infimum "
             f"pi*sqrt(2/nu) exceeds L, no dnoidal wave exists"
         )
-    top = math.sqrt(nu * alpha)
-    eps = 1e-12
-    tol = 1e-12 * L
-    lo, hi = eps * top, (1.0 - eps) * top
-    # period_of is decreasing: g(lo) > 0 > g(hi); expand lo toward 0 if needed
-    g = lambda e: period_of(e, nu, alpha) - L
-    while g(lo) <= 0.0:
-        lo *= 0.5
-        if _kprime_sq(lo, nu, alpha) == 0.0:
-            raise NoSolutionError(_TOO_LONG.format(L=L, nu=nu))
-    if g(hi) >= 0.0:
-        raise NoSolutionError("right bracket failure in solve_eta2")
-
-    x = 0.5 * (lo + hi)
-    # a step that Newton cannot take halves the bracket, and a long period
-    # puts the root far below its top (eta2 ~ 1e-65 at L sqrt(nu) = 270):
-    # reaching the smallest double takes about 1,075 halvings
-    for _ in range(1100):
-        # T and dT/deta2 share one modulus, so each iterate runs one AGM
-        m = _modulus_of(x, nu, alpha)
-        gx = _period(x, nu, alpha, m) - L
-        if abs(gx) <= tol:
-            return x
-        if gx > 0.0:
-            lo = x
-        else:
-            hi = x
-        dg = _period_deriv(x, nu, alpha, m)
-        x_new = x - gx / dg if dg != 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
+    target = L * math.sqrt(nu)
+    tol = 1e-12 * target
+    # target > pi sqrt(2) above the threshold, so s < ln 4 - pi/sqrt(2) < 0
+    s = math.log(4.0) - 0.5 * target
+    for _ in range(_MAX_NEWTON):
+        kp2 = math.exp(2.0 * s)
+        if kp2 == 0.0:
             break
-        x = x_new
-    if abs(g(x)) <= tol:
-        return x
-    if _kprime_sq(x, nu, alpha) < sys.float_info.min:
+        m = Modulus.from_kprime_sq(kp2)
+        K, sq = complete_K(m), math.sqrt(1.0 + kp2)
+        g = 2.0 * K * sq - target
+        if abs(g) <= tol:
+            return m.kprime * math.sqrt(2.0 * nu * alpha / (1.0 + kp2))
+        # dK/ds = dK_dk dk/ds with dk/ds = -k'^2/k; k'^2 cancels, so the
+        # slope stays finite where dK_dk alone overflows
+        dK_ds = -(complete_E(m) - kp2 * K) / (m.k * m.k)
+        s -= g / (2.0 * (sq * dK_ds + K * kp2 / sq))
+    if kp2 < sys.float_info.min:
         raise NoSolutionError(_TOO_LONG.format(L=L, nu=nu))
-    raise NoSolutionError(f"solve_eta2 stalled with residual {g(x):.3e}")
+    raise NoSolutionError(f"solve_eta2 stalled with residual {g:.3e}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +214,8 @@ def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
     alpha = 1.0 - c * c
     eta2 = solve_eta2(L, c, nu)
     eta1 = math.sqrt(2.0 * nu * alpha - eta2 * eta2)
-    m = _modulus_of(eta2, nu, alpha)
+    kprime = eta2 / eta1
+    m = Modulus.from_kprime_sq(kprime * kprime)
     omega = -nu - c * c / 4.0
     ek = complete_E(m) / complete_K(m)
     d0 = -c * eta1**2 / alpha * ek

@@ -382,6 +382,27 @@ def test_construct_json_roundtrips_into_spectrum(tmp_path, capsys):
     assert out.count("[pass]") >= 5
 
 
+def _construct_kprime_and_residuals(tmp_path, capsys, L, nu):
+    out = tmp_path / f"wave_{L}.json"
+    code, stdout, err = run(capsys, "construct", "--L", L, "--c", "0", "--nu", nu,
+                            "--format", "json", "--out", str(out))
+    assert code == 0, err
+    params = json.loads(out.read_text())["params"]
+    residuals = [float(r) for r in re.findall(r"r\d=(\S+)", stdout)]
+    assert len(residuals) == 3
+    return params["eta2"] / params["eta1"], residuals
+
+
+def test_construct_depends_on_L_sqrt_nu_only(tmp_path, capsys):
+    # L sqrt(nu) = 10 at nu = 1e-300: eta2 is about 4e-152, but k' is not
+    # built from eta2^2, so the wave is the L = 10, nu = 1 wave rescaled
+    kprime, residuals = _construct_kprime_and_residuals(tmp_path, capsys, "1e151", "1e-300")
+    kprime_ref, residuals_ref = _construct_kprime_and_residuals(tmp_path, capsys, "10", "1")
+    assert kprime == pytest.approx(0.027, abs=5e-4)
+    assert kprime == pytest.approx(kprime_ref, rel=1e-12)
+    assert max(residuals) <= max(residuals_ref)
+
+
 def test_unreadable_wave_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "evolve", "--wave-file", str(tmp_path / "missing.json"))
     assert code == 1

@@ -446,6 +446,18 @@ def test_lame_analytic_small_k_limit():
     assert rho2 == pytest.approx(4.0, abs=1e-7)
 
 
+def test_lame_analytic_where_k_rounds_to_one():
+    # k' is about 6e-11 here, so k rounds to 1.0 and the k = 1 values hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m = build_wave(8.0 * math.pi, 0.5, 3.9).modulus
+    assert m.k == 1.0 and 0.0 < m.kprime < 1e-10
+    rhos = lame_eigen_analytic(m)
+    assert np.max(np.abs(np.array(rhos) - (2.0, 5.0, 6.0))) <= 1e-12
+    with pytest.raises(DomainError, match="needs k in"):
+        lame_eigen_analytic(Modulus.from_kprime_sq(0.0))
+
+
 def test_lame_eigenfunctions_closed_form():
     # rho1 pairs with sn*cn; the even pair is 1 - beta sn^2
     k = 0.6

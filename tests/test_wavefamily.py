@@ -128,28 +128,43 @@ def test_solve_eta2_rejects_supersonic_speed():
         solve_eta2(2.0 * math.pi, 1.0, 1.0)
 
 
+def _acceptance_grid():
+    for L in (2.0 * math.pi, 10.0, 20.0):
+        thr = nu_threshold(L)
+        for c in (0.0, 0.5, -0.5):
+            for nu in np.geomspace(1.01 * thr, 100.0 * thr, 20):
+                yield L, c, float(nu)
+
+
 def test_solve_eta2_runs_one_agm_per_iterate(monkeypatch):
-    # each bracket check and each iterate builds one modulus and runs its AGM
-    # once: T and dT/deta2 of an iterate read the same modulus
-    modulus_of, log = wavefamily._modulus_of, {}
-
-    def spy(owner, attr):
-        fn, calls = getattr(owner, attr), log.setdefault(attr, [])
-        monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or fn(*args))
-
-    for owner, attr in ((elliptic, "_agm_sequence"), (wavefamily, "_modulus_of"),
-                        (wavefamily, "period_of"), (wavefamily, "_period_deriv")):
-        spy(owner, attr)
-    for L, c, nu in [(2 * math.pi, 0.0, 1.0), (8.0 * math.pi, 0.5, 0.2), (20.0, -0.5, 0.3)]:
-        for calls in log.values():
-            calls.clear()
+    # each Newton iterate builds one modulus from k'^2 and runs its AGM
+    # once: K, E and the slope of an iterate read the same modulus
+    built, agm = [], []
+    from_kprime_sq, agm_sequence = Modulus.from_kprime_sq.__func__, elliptic._agm_sequence
+    monkeypatch.setattr(Modulus, "from_kprime_sq", classmethod(
+        lambda cls, kp2: built.append(from_kprime_sq(cls, kp2)) or built[-1]))
+    monkeypatch.setattr(elliptic, "_agm_sequence", lambda m: agm.append(m) or agm_sequence(m))
+    near = nu_threshold(2.0 * math.pi) * (1.0 + 1e-14)
+    cases = [*_acceptance_grid(), (2.0 * math.pi, 0.0, near), (720.0, 0.0, 1.0)]
+    for L, c, nu in cases:
+        built.clear()
+        agm.clear()
         solve_eta2(L, c, nu)
-        # the converged iterate needs no slope
-        iterates = len(log["_period_deriv"]) + 1
-        assert iterates >= 2
-        assert len(log["_modulus_of"]) == len(log["period_of"]) + iterates
-        assert ([args[0] for args in log["_agm_sequence"]]
-                == [modulus_of(*args) for args in log["_modulus_of"]])
+        assert 1 <= len(built) <= 25
+        assert [id(m) for m in agm] == [id(m) for m in built]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 25.0, 100.0, 300.0])
+def test_solve_eta2_over_the_domain(L, c):
+    # from just above the threshold up to L sqrt(nu) = 700
+    alpha = 1.0 - c * c
+    prev = math.inf
+    for nu in np.geomspace(1.0001 * nu_threshold(L), (700.0 / L) ** 2, 40):
+        eta2 = solve_eta2(L, c, float(nu))
+        assert abs(period_of(eta2, float(nu), alpha) - L) <= 1e-12 * L
+        assert eta2 < prev
+        prev = eta2
 
 
 # --------------------------------------------------------------------------
