@@ -553,7 +553,10 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
 
     The run takes n_steps = round(t_end / dt) steps and saves the initial
     state, every max(1, n_steps // 200)-th step and the last step, about
-    200 rows.  A t_end > 0 that rounds to no step is a DomainError.
+    200 rows.  A t_end > 0 that rounds to no step is a DomainError.  The
+    rounding can miss t_end (dt = 3.2e-3 stops at 4.9984 for t_end = 5), so
+    each record's metadata holds n_steps and t_final = t0 + n_steps dt,
+    bitwise its last `times` entry, beside the t_end asked for.
 
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  At each save every
@@ -630,6 +633,7 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     series = dict(zip(_SERIES, np.stack(rows, axis=1)))
 
     common = {"L": grid.L, "N": grid.N, "dt": dt, "t_end": t_end,
+              "n_steps": n_steps, "t_final": t0 + n_steps * dt,
               "c": c, "omega": omega, "nu": nu, "B_wave": b_wave}
     return [ExperimentRecord(metadata={**meta, **common},
                              **{name: vals[:, i] for name, vals in series.items()})

@@ -13,15 +13,17 @@ pairs kappa with -kappa (Magnus & Winkler, Hill's Equation, 1966).
 Its Toeplitz part is copied from strided windows of the coefficients,
 with no index matrix, and the parity blocks below are built from its slices.
 
-The L3/L4 spectra and constrained minima take M = (N - 1) // 4 and split
-the matrix into a cosine block and a sine block, each real symmetric
-Toeplitz-plus-Hankel: n = 0..M and n = 1..M for periodic spectra, the
-pairs n <-> -1 - n with n = 0..M-1 for semi-periodic ones.  Each block
-gets one `eigh`, and each eigenvector is a real cosine or sine series,
-sampled on the grid by one inverse FFT.  The Lame band edges take the
-whole matrix at M = N/8, unsplit (see `instability_intervals`), checked
-by doubling M.  `grid_matrix`, the dense N-point grid operator, is the
-reference these solves are tested against.
+`_parity_blocks` splits the matrix at any M into a cosine block and a
+sine block, each real symmetric Toeplitz-plus-Hankel: n = 0..M and
+n = 1..M for periodic spectra, the pairs n <-> -1 - n with n = 0..M-1 for
+semi-periodic ones.  The L3/L4 spectra and constrained minima split it at
+M = (N - 1) // 4; each block gets one `eigh`, and each eigenvector is a
+real cosine or sine series, sampled on the grid by one inverse FFT.  The
+Lame band edges are returned from the whole matrix at M = N/8, unsplit,
+so a closed gap keeps lo < hi, and checked against the blocks at
+M = N/4 on 2N samples (see `instability_intervals`).  `grid_matrix`, the
+dense N-point grid operator, is the reference these solves are tested
+against.
 """
 
 from __future__ import annotations
@@ -194,15 +196,15 @@ def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
     return assemble(2.0 * K, 0.0, 6.0 * m.k**2 * sn**2, N)
 
 
-def _parity_blocks(op: HillOperator, boundary: str):
-    """Cosine and sine blocks of fourier_matrix(boundary, M) at M = (N - 1) // 4.
+def _parity_blocks(F: np.ndarray, boundary: str):
+    """Cosine and sine blocks of F = fourier_matrix(boundary, M), M read from its shape.
 
     Periodic: n = 0..M and n = 1..M, entries vhat[|a - b|] +/- vhat[a + b],
     with row and column 0 of the cosine block scaled by 1/sqrt(2).
-    Semi-periodic: n = 0..M-1 paired with -1 - n, vhat[|a - b|] +/- vhat[a + b + 1].
+    Semi-periodic: n = 0..M-1 paired with -1 - n, vhat[|a - b|] +/- vhat[a + b + 1];
+    the mode n = M, whose partner -1 - M lies outside the window, is dropped.
     """
-    M = (op.N - 1) // 4
-    F = op.fourier_matrix(boundary, M)
+    M = F.shape[0] // 2
     if boundary == "periodic":
         even = F[M:, M:] + F[M:, M::-1]
         even[0] /= math.sqrt(2.0)
@@ -213,7 +215,7 @@ def _parity_blocks(op: HillOperator, boundary: str):
 
 
 def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    even, odd = _parity_blocks(op, boundary)
+    even, odd = _parity_blocks(op.fourier_matrix(boundary, (op.N - 1) // 4), boundary)
     size = even.shape[0] + odd.shape[0]
     if not 1 <= m <= size:
         raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
@@ -284,40 +286,47 @@ def instability_intervals(m: Modulus, N: int = 512):
     lambda0 < mu0 <= mu1 < lambda1 <= lambda2 < mu2 <= mu3 < ...
 
     The finite gaps are (mu0, mu1), (lambda1, lambda2), (mu2, mu3), ...  The
-    band edges are the lowest eigenvalues of the real symmetric
+    returned band edges are the lowest eigenvalues of the real symmetric
     Fourier-Hill matrix with M = N/8 modes on the N-sample potential,
     solved whole with `eigvalsh`: the potential 6 k^2 sn^2 is even, but a
     closed gap pairs an even with an odd edge, and the parity blocks can
-    return those bitwise equal, where the one solve keeps lo < hi.  Gap
-    widths are validated by the M = N/8 -> N/4 refinement on the 2N-sample
-    potential, and non-convergence raises AccuracyError.
+    return those bitwise equal, where the one solve keeps lo < hi.  The
+    check solves the M = N/4 matrix on the 2N-sample potential as its
+    cosine and sine blocks, each about half the size; only their values
+    near the returned ones matter there, not their order within a closed
+    gap.  Every finite edge and every gap width must agree between the two
+    to 1e-7 relative (floor 1), or AccuracyError names the first that does
+    not.
     """
     if N < 512:
         raise DomainError("instability_intervals needs N >= 512")
     n_gaps = 10
-    n_eigs = 2 * n_gaps + 4
+    # lambda0, then the lower and upper end of each finite gap
+    picks = [("lambda", 0)] + [("mu" if j % 2 == 0 else "lambda", i)
+                               for j in range(n_gaps - 1) for i in (j, j + 1)]
 
-    def gaps_at(res: int):
+    def band_edges(res, solve):
         op = lame_operator(m, res)
-        lam, mu = (np.linalg.eigvalsh(op.fourier_matrix(boundary, res // 8))[:n_eigs]
-                   for boundary in ("periodic", "semiperiodic"))
-        out = [(-math.inf, float(lam[0]))]
-        for j in range(n_gaps - 1):
-            if j % 2 == 0:
-                lo, hi = mu[j], mu[j + 1]
-            else:
-                lo, hi = lam[j], lam[j + 1]
-            out.append((float(lo), float(hi)))
-        return out
+        ev = {name: solve(op.fourier_matrix(b, res // 8), b)
+              for name, b in (("lambda", "periodic"), ("mu", "semiperiodic"))}
+        return np.array([ev[name][i] for name, i in picks])
 
-    coarse = gaps_at(N)
-    fine = gaps_at(2 * N)
-    for (a, b), (a2, b2) in zip(coarse[1:], fine[1:]):
-        if abs((b - a) - (b2 - a2)) > 1e-7 * max(1.0, abs(b2 - a2)):
-            raise AccuracyError(
-                f"gap widths not converged under M doubling: {b - a} vs {b2 - a2}"
-            )
-    return fine
+    def whole(F, _boundary):
+        return np.linalg.eigvalsh(F)
+
+    def blocks(F, boundary):
+        return np.sort(np.concatenate([np.linalg.eigvalsh(x) for x in _parity_blocks(F, boundary)]))
+
+    edges = band_edges(N, whole)
+    check = band_edges(2 * N, blocks)
+    for (name, i), e, e2 in zip(picks, edges, check):
+        if abs(e - e2) > 1e-7 * max(1.0, abs(e2)):
+            raise AccuracyError(f"band edge {name}{i} not converged under M doubling: {e} vs {e2}")
+    for w, w2 in zip(edges[2::2] - edges[1::2], check[2::2] - check[1::2]):
+        if abs(w - w2) > 1e-7 * max(1.0, abs(w2)):
+            raise AccuracyError(f"gap widths not converged under M doubling: {w} vs {w2}")
+    return [(-math.inf, float(edges[0]))] + [
+        (float(lo), float(hi)) for lo, hi in zip(edges[1::2], edges[2::2])]
 
 
 def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
@@ -326,7 +335,7 @@ def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
     cons = np.atleast_2d(np.asarray(constraints, dtype=float))
     if cons.shape[1] != op.N:
         raise DomainError("constraint vectors must live on the operator grid")
-    even, odd = _parity_blocks(op, "periodic")
+    even, odd = _parity_blocks(op.fourier_matrix("periodic", (op.N - 1) // 4), "periodic")
     # each constraint's coordinates in the cosine and sine bases, up to a
     # common scale: Re chat_n (chat_0 / sqrt(2) for n = 0) and -Im chat_n
     chat = np.fft.fft(cons)[:, :even.shape[0]]

@@ -211,6 +211,25 @@ def test_evolve_rejects_an_end_time_that_rounds_to_no_step(wave_c0):
         assert rec.times.tolist() == times
 
 
+def test_metadata_holds_the_steps_taken_and_the_time_reached(wave_c0):
+    # round(5 / 3.2e-3) = 1562 steps stop at 4.9984, short of t_end = 5
+    grid = GridSpec(L=2.0 * math.pi, N=64)
+    s0 = wave_state(wave_c0, grid)
+    single, = evolve([s0], wave_c0, grid, dt=3.2e-3, t_end=5.0)
+    meta = single.metadata
+    assert (meta["t_end"], meta["n_steps"]) == (5.0, 1562)
+    assert meta["t_final"] == single.times[-1]
+    assert meta["t_final"] == pytest.approx(4.9984, abs=1e-12)
+    for rec in evolve([s0, s0], wave_c0, grid, dt=3.2e-3, t_end=5.0):
+        assert rec.metadata == meta
+        assert np.array_equal(rec.times, single.times)
+    # a later start time and a run of no steps
+    for t0, t_end, n_steps in ((0.5, 0.05, 16), (0.5, 0.0, 0)):
+        rec, = evolve([wave_state(wave_c0, grid, t=t0)], wave_c0, grid, dt=3.2e-3, t_end=t_end)
+        assert rec.metadata["n_steps"] == n_steps
+        assert rec.metadata["t_final"] == rec.times[-1] == t0 + n_steps * 3.2e-3
+
+
 def test_grid_arrays_are_cached_and_read_only():
     grid = GridSpec(L=2.0 * math.pi, N=64)
     for name in ("xs", "k", "dealias_mask"):
@@ -715,6 +734,8 @@ def test_record_serialization(tmp_path, wave_std):
 
     payload = json.loads(json_path.read_text())
     assert payload["metadata"]["seed"] == 1
+    assert payload["metadata"]["n_steps"] == len(rec.times) - 1 == 12
+    assert payload["metadata"]["t_final"] == rec.times[-1]
     assert len(payload["times"]) == len(rec.times)
     assert list(payload) == ["metadata", "times", "E", "Q1", "Q2", "B", "rho_nu", "y_star",
                              "theta_star", "dist_v", "dist_V", "q1_uv_real", "q1_uv_imag"]

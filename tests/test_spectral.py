@@ -537,6 +537,52 @@ def test_instability_intervals_raises_when_M_doubling_disagrees(monkeypatch):
         instability_intervals(Modulus.from_k(0.5))
 
 
+def test_instability_intervals_check_every_edge(monkeypatch):
+    # a constant offset in the 2N potential moves every band edge and no gap
+    # width, so only the edge check sees it, at lambda0 first
+    lame = spectral.lame_operator
+
+    def offset(m, N=512):
+        op = lame(m, N)
+        return op if N == 512 else assemble(op.L, op.shift, op.potential + 1e-3, N)
+
+    monkeypatch.setattr(spectral, "lame_operator", offset)
+    with pytest.raises(AccuracyError, match="band edge lambda0"):
+        instability_intervals(Modulus.from_k(0.5))
+
+
+# the moduli of the L = 8 pi, c = 0.5 waves whose Lame edges the CLI reports:
+# nu = 0.2 and nu over [0.04, 0.12]
+LAME_SET = MODULI + [build_wave(8.0 * math.pi, 0.5, nu).modulus.k
+                     for nu in [*np.linspace(0.04, 0.12, 9), 0.2]]
+
+
+@pytest.mark.parametrize("k", LAME_SET)
+def test_instability_intervals_return_the_whole_matrix_edges_at_N(k):
+    m = Modulus.from_k(k)
+    op = lame_operator(m, 512)
+    lam, mu = (np.linalg.eigvalsh(op.fourier_matrix(b, 64)) for b in ("periodic", "semiperiodic"))
+    expected = [(-math.inf, lam[0])] + [
+        (mu[j], mu[j + 1]) if j % 2 == 0 else (lam[j], lam[j + 1]) for j in range(9)]
+    intervals = instability_intervals(m)
+    assert intervals == expected
+    # a closed gap pairs an even and an odd edge; the one solve keeps them apart
+    assert all(lo < hi for lo, hi in intervals[1:])
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "semiperiodic"])
+@pytest.mark.parametrize("k", LAME_SET)
+def test_lame_check_blocks_match_the_whole_matrix_at_2N(k, boundary):
+    # the check solves the M = 128 matrix as its parity blocks; the
+    # semi-periodic split drops the unpaired mode n = M, far above the 24
+    # lowest eigenvalues
+    F = lame_operator(Modulus.from_k(k), 1024).fourier_matrix(boundary, 128)
+    blocks = spectral._parity_blocks(F, boundary)
+    assert sum(b.shape[0] for b in blocks) == F.shape[0] - (boundary == "semiperiodic")
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:24]
+    assert np.max(np.abs(got - np.linalg.eigvalsh(F)[:24])) <= 1e-10
+
+
 def test_lambda_from_rho_anchors(wave_std):
     w = wave_std
     nu = w.params.nu
