@@ -274,6 +274,7 @@ def cmd_spectrum(args) -> None:
 def _report_record(rec, args) -> None:
     """Print a run's summary and save its record.
 
+    The time reached is printed as t_final, which can fall short of t_end.
     The drift of a conserved series a is max|a - a(0)| / |a(0)|, except
     where |a(0)| <= 1e-12 Q2(0): there a(0) is at rounding level (the Q1
     of a c = 0 wave), the ratio would be noise over noise, and the
@@ -289,7 +290,7 @@ def _report_record(rec, args) -> None:
             return f"{name}(absolute)={fmt(change)}"
         return f"{name}={fmt(change / abs(a[0]))}"
 
-    print(f"steps saved: {len(rec.times)}, t_end={fmt(rec.times[-1])}")
+    print(f"steps saved: {len(rec.times)}, t_final={fmt(rec.metadata['t_final'])}")
     print(f"relative drift: {drift('E')} {drift('Q1')} {drift('Q2')}")
     db = rec.delta_B()
     print(f"deltaB spread: {fmt(float(np.max(np.abs(db - db[0]))))}")

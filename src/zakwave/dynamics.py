@@ -281,33 +281,30 @@ class _Workspace:
 # transform, product and quadrature acts along the last axis, so row i of
 # a batched result is bitwise what the (N,) call on member i returns.
 
-def _derivative(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spectral x-derivative along the last axis."""
-    return np.fft.ifft(1j * grid.k * np.fft.fft(f))
+def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Fourier modes of f scaled so that sum |f_n|^2 = integral |f|^2
+    (Parseval); then <f(.+y), g> = sum f_n conj(g_n) e^{i k_n y}."""
+    return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
 
 
-def invariants(s: FieldState, grid: GridSpec, *,
-               ux: np.ndarray | None = None) -> ZakInvariants:
-    """E, Q1 (vV form), Q2 by spectral quadrature; `ux`, if given, is
-    `_derivative(s.u, grid)` computed once by the caller."""
-    if ux is None:
-        ux = _derivative(s.u, grid)
-    e = 0.5 * grid.integrate(
-        2.0 * np.abs(ux) ** 2 + s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2
-    )
-    q1 = grid.integrate(s.v * s.V + (ux * np.conj(s.u)).imag)
+def invariants(s: FieldState, grid: GridSpec) -> ZakInvariants:
+    """E, Q1 (vV form), Q2 by spectral quadrature.  With the Parseval modes
+    w of u, integral |u_x|^2 = sum k^2 |w|^2 and integral Im(u_x conj u) =
+    sum k |w|^2."""
+    k, w2 = grid.k, np.abs(_modes(s.u, grid)) ** 2
+    e = np.sum(k * k * w2, axis=-1) + 0.5 * grid.integrate(
+        s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2)
+    q1 = grid.integrate(s.v * s.V) + np.sum(k * w2, axis=-1)
     q2 = grid.integrate(np.abs(s.u) ** 2)
     return ZakInvariants(E=e, Q1=q1, Q2=q2)
 
 
-def q1_paper_form(s: FieldState, grid: GridSpec, *, ux: np.ndarray | None = None):
+def q1_paper_form(s: FieldState, grid: GridSpec):
     """The momentum functional with the u V integrand as printed in the
     source formula; complex-valued for generic u and not conserved
-    (diagnostic only, see the vV form in `invariants`).  `ux` as in
-    `invariants`."""
-    if ux is None:
-        ux = _derivative(s.u, grid)
-    return grid.integrate(s.u * s.V + (ux * np.conj(s.u)).imag)
+    (diagnostic only, see the vV form in `invariants`)."""
+    w2 = np.abs(_modes(s.u, grid)) ** 2
+    return grid.integrate(s.u * s.V) + np.sum(grid.k * w2, axis=-1)
 
 
 def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
@@ -319,12 +316,6 @@ def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
 
 # --------------------------------------------------------------------------
 # modulated distance
-
-def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fourier modes of f scaled so that sum |f_n|^2 = integral |f|^2
-    (Parseval); then <f(.+y), g> = sum f_n conj(g_n) e^{i k_n y}."""
-    return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
-
 
 def _distance_sq(fm: np.ndarray, gm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """||f(.+y) - g||^2 = sum |phase f_n - g_n|^2 with phase = e^{i k_n y}
@@ -536,7 +527,7 @@ def _l2(f, grid) -> float:
 
 
 def _h1nu(f, grid, nu) -> float:
-    df = _derivative(f, grid)
+    df = np.fft.ifft(1j * grid.k * np.fft.fft(f))
     return math.sqrt(abs(grid.integrate(np.abs(df) ** 2)) + nu * abs(grid.integrate(np.abs(f) ** 2)))
 
 
@@ -561,9 +552,10 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  At each save every
     diagnostic is called once on the (B, N) fields of the whole batch (one
-    `shift_distance` on the stacked (2B, N) v and V) and appends one
-    (n_series, B) row; the rows stack into one (n_saves, B) array per
-    series after the last step, and record i holds column i.
+    `shift_distance` on the stacked (2B, N) v and V), and the save's values,
+    keyed by series name, form one (n_series, B) row in `_SERIES` order;
+    the rows stack into one (n_saves, B) array per series after the last
+    step, and record i holds column i.
     Steps and diagnostics act row by row, so a member's record is bitwise
     the one it gets in a batch of one.  `metadata[i]` seeds the metadata of
     record i.  Blow-up is judged per member, against that member's initial
@@ -605,15 +597,16 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     rows = []
 
     def record(s):
-        ux = _derivative(s.u, grid)
-        inv = invariants(s, grid, ux=ux)
+        inv = invariants(s, grid)
         rho, ys, th = orbital_distance(s.u, wave, grid, t=s.t, profile_modes=profile_m)
         dist, _ = shift_distance(np.concatenate((s.v, s.V)), acoustic_ref, grid,
                                  g_modes=acoustic_m)
-        q1p = q1_paper_form(s, grid, ux=ux)
-        rows.append(np.stack((np.full(n_members, s.t), inv.E, inv.Q1, inv.Q2,
-                              inv.E - c * inv.Q1 - omega * inv.Q2, rho, ys, th,
-                              dist[:n_members], dist[n_members:], q1p.real, q1p.imag)))
+        q1p = q1_paper_form(s, grid)
+        row = dict(times=np.full(n_members, s.t), E=inv.E, Q1=inv.Q1, Q2=inv.Q2,
+                   B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=rho, y_star=ys,
+                   theta_star=th, dist_v=dist[:n_members], dist_V=dist[n_members:],
+                   q1_uv_real=q1p.real, q1_uv_imag=q1p.imag)
+        rows.append(np.stack([row[name] for name in _SERIES]))
 
     record(ev.to_physical(spec, t0))
     for step in range(1, n_steps + 1):
@@ -693,6 +686,7 @@ def stability_experiment(w: DnoidalWave, delta: float | Sequence[float], t_end: 
                                         renormalize_q2) for d in deltas]
     metas = [{"kind": "dnoidal", "delta": d, "seed": seed,
               "respect_mean_condition": respect_mean_condition,
+              "renormalize_q2": renormalize_q2,
               "wave": {"L": w.params.L, "c": w.params.c, "nu": w.params.nu}}
              for d in deltas]
     records = evolve(states0, w, grid, dt, t_end, metadata=metas)

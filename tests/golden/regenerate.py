@@ -1,0 +1,108 @@
+"""Golden CLI outputs: the argv table, how a run is observed, and the
+script that rewrites `manifest.json`.
+
+Each case runs in-process through `zakwave.cli.main` with `--out` in a
+given directory.  A run is observed as its exit code and three streams:
+the `--out` file (`file`), stdout, and stderr (with any Python warning appended as
+a `warning: Category: message` line).
+
+Outputs that depend only on FFTs and elementwise arithmetic are compared
+exactly, each stream by its SHA-256.  Outputs that carry LAPACK
+eigenvalues (`spectrum`) may move in the last digits with the BLAS build
+or thread count, so each of their streams is kept as the SHA-256 of its
+text with every number replaced by `#`, plus the list of those numbers,
+which must match within the manifest's `number_bound`.
+
+A change that moves outputs on purpose regenerates the manifest and
+states the moves in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/golden/regenerate.py
+
+Run it from the repository root.  It writes `tests/golden/manifest.json`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from zakwave import cli
+
+MANIFEST = Path(__file__).with_name("manifest.json")
+
+STD_WAVE = ["--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2"]
+
+# (name, argv without --out, name of the --out file, compare numbers within a bound)
+CASES = [
+    ("construct", ["construct", *STD_WAVE, "--samples", "64", "--format", "json"],
+     "wave.json", False),
+    ("sweep", ["sweep", "--L", "6.2832", "--c", "0", "--nu-min", "0.6", "--nu-max", "5",
+               "--points", "8"], "family.csv", False),
+    ("evolve", ["evolve", "--L", "6.283185307179586", "--c", "0", "--nu", "1",
+                "--N", "64", "--t-end", "0.05"], "evolve.csv", False),
+    ("stability", ["stability", *STD_WAVE, "--delta", "1e-3", "--seed", "7", "--N", "128",
+                   "--t-end", "0.2", "--format", "json"], "run.json", False),
+    ("solitary", ["solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
+                  "--seed", "5", "--N", "256", "--t-end", "0.2"], "solitary.csv", False),
+    ("spectrum_L3", ["spectrum", "--operator", "L3", *STD_WAVE, "--N", "256"],
+     "L3.csv", True),
+    ("spectrum_lame", ["spectrum", "--operator", "lame", *STD_WAVE, "--format", "json"],
+     "lame.json", True),
+]
+
+# |observed - stored| <= rel * max(1, |stored|) for each number of a
+# number-compared stream: about 30 times the 3.7e-13 by which OpenBLAS's
+# Prescott, Sandybridge, Haswell and SkylakeX kernels (OPENBLAS_CORETYPE)
+# moved these numbers, and below the 1e-11 to 3e-10 by which changes of
+# method have moved Lame band edges.
+NUMBER_BOUND = {"rel": 1e-11}
+
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest(text: str, numbers: bool):
+    if not numbers:
+        return _sha256(text)
+    return {"text_sha256": _sha256(NUMBER.sub("#", text)),
+            "numbers": [float(x) for x in NUMBER.findall(text)]}
+
+
+def observe(argv, out_name, directory, numbers):
+    """Run one case into `directory`; returns its exit code and digests."""
+    out = Path(directory) / out_name
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main([*argv, "--out", str(out)])
+    err = stderr.getvalue() + "".join(
+        f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
+    # bytes decoded as they are, so the CSV writer's \r\n line ends count
+    streams = {"file": out.read_bytes().decode() if out.exists() else "",
+               "stdout": stdout.getvalue(), "stderr": err}
+    return {"exit": code, **{k: _digest(v, numbers) for k, v in streams.items()}}
+
+
+def main() -> int:
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, out_name, numbers in CASES:
+            cases.append({"name": name, "argv": argv, "out": out_name, "numbers": numbers,
+                          **observe(argv, out_name, tmp, numbers)})
+    MANIFEST.write_text(json.dumps({"number_bound": NUMBER_BOUND, "cases": cases},
+                                   indent=1) + "\n")
+    print(f"wrote {MANIFEST} ({len(cases)} cases)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -304,6 +304,26 @@ def test_renormalize_q2_starts_at_the_wave_q2(tmp_path, capsys, wave_std, grid_s
     assert float(first.split(",")[header.split(",").index("Q2")]) == rec.Q2[0]
 
 
+@pytest.mark.parametrize("flags, recorded", [((), False), (("--renormalize-q2",), True)])
+def test_stability_json_records_renormalize_q2(tmp_path, capsys, flags, recorded):
+    out = tmp_path / "run.json"
+    code, _, err = run(capsys, "stability", *STD_WAVE, "--delta", "1e-2", "--seed", "3",
+                       "--N", "64", "--t-end", "0.01", *flags, "--format", "json",
+                       "--out", str(out))
+    assert code == 0, err
+    assert json.loads(out.read_text())["metadata"]["renormalize_q2"] is recorded
+
+
+def test_run_summary_prints_the_time_reached(capsys):
+    # round(5 / 3.2e-3) = 1562 steps stop at 4.9984, short of the t_end asked for
+    code, out, err = run(capsys, "stability", *STD_WAVE, "--delta", "1e-3", "--seed", "1",
+                         "--N", "64", "--dt", "3.2e-3", "--t-end", "5")
+    assert code == 0, err
+    line = next(ln for ln in out.splitlines() if ln.startswith("steps saved: "))
+    assert "t_end" not in line
+    assert float(line.split("t_final=")[1]) == 1562 * 3.2e-3
+
+
 # outputs
 
 def _strict_json(path):

@@ -278,6 +278,44 @@ def test_exact_wave_Q2_is_closed_form_mass(wave_std, grid_std):
     assert inv.Q2 == pytest.approx(mass_integral(wave_std), rel=1e-12)
 
 
+def _derivative_forms(s, grid):
+    """E, Q1 and the uV-form Q1 written in physical space, with the
+    derivative field u_x = ifft(ik fft u) and the grid quadrature."""
+    ux = np.fft.ifft(1j * grid.k * np.fft.fft(s.u))
+    e = 0.5 * grid.integrate(
+        2.0 * np.abs(ux) ** 2 + s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2)
+    q1 = grid.integrate(s.v * s.V + (ux * np.conj(s.u)).imag)
+    q1_uv = grid.integrate(s.u * s.V + (ux * np.conj(s.u)).imag)
+    return e, q1, q1_uv
+
+
+@pytest.mark.parametrize("case", ["wave_std", "wave_c0", "batch", "solitary"])
+def test_conserved_quantities_equal_their_derivative_forms(case, wave_std, wave_c0, grid_std):
+    # invariants and q1_paper_form take the u_x terms as Parseval sums over
+    # the modes of u; they must agree with the physical-space integrals
+    if case == "wave_std":
+        grid, s = grid_std, wave_state(wave_std, grid_std, t=0.3)
+    elif case == "wave_c0":
+        grid = GridSpec(L=2.0 * math.pi, N=128)
+        s = wave_state(wave_c0, grid, t=0.3)
+    elif case == "batch":
+        grid = grid_std
+        s = _perturbed_batch(wave_std, grid, np.random.default_rng(5),
+                             (0.0, 1e-3, 1e-2, 0.3, 3.0), t=0.7)
+    else:
+        # the box of solitary_experiment: L = 80 / sqrt(-4 omega - c^2)
+        grid = GridSpec(L=80.0 / math.sqrt(4.0 - 0.5**2), N=1024)
+        s = wave_state(solitary_wave(-1.0, 0.5), grid, t=0.3)
+    inv = invariants(s, grid)
+    E, Q1, Q1_uv, Q2 = map(np.atleast_1d, (inv.E, inv.Q1, q1_paper_form(s, grid), inv.Q2))
+    e, q1, q1_uv = map(np.atleast_1d, _derivative_forms(s, grid))
+    assert np.all(np.abs(E - e) <= 1e-14 * np.abs(e))
+    # the momenta of the c = 0 wave are rounding-level, so they are
+    # measured against the mass Q2 where they fall below it
+    assert np.all(np.abs(Q1 - q1) <= 1e-14 * np.maximum(np.abs(q1), Q2))
+    assert np.all(np.abs(Q1_uv - q1_uv) <= 1e-14 * np.maximum(np.abs(q1_uv), Q2))
+
+
 def test_conservation_drift_small(exact_run):
     assert relative_drift(exact_run.E) <= 1e-7
     assert relative_drift(exact_run.Q1) <= 1e-7
