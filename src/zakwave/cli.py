@@ -212,8 +212,7 @@ def _judge(result, args, verdicts) -> None:
 
 def cmd_spectrum(args) -> None:
     w = _load_wave_args(args)
-    p = w.params
-    nu = p.nu
+    nu = w.params.nu
 
     if args.operator == "lame":
         if args.modes is not None:
@@ -242,29 +241,26 @@ def cmd_spectrum(args) -> None:
     op = hill_L3(w, args.N) if args.operator == "L3" else hill_L4(w, args.N)
     spec = periodic_spectrum(op, modes)
     lam = spec.eigenvalues
-    xs = np.arange(args.N) * p.L / args.N
     print(f"{args.operator} eigenvalues (N={args.N}):")
     for i, v in enumerate(lam[:min(modes, 6)]):
         print(f"  lambda_{i} = {fmt(v)}")
 
-    def align(vec, target):
-        t = target / np.linalg.norm(target)
-        return abs(np.dot(vec, t)) / np.linalg.norm(vec)
+    # parity names the kernels: phi is even and phi' odd about x = 0
+    def parity(i):
+        return "even" if spec.even[i] else "odd"
 
     if args.operator == "L4":
-        a = align(spec.eigenvectors[0], w.phi(xs))
         verdicts = [("lambda0 ~ 0", abs(lam[0]) <= 1e-6 * nu, f"|lambda0|={fmt(abs(lam[0]))}"),
                     ("lambda0 simple", lam[1] - lam[0] > 1e-3 * nu, f"gap={fmt(lam[1] - lam[0])}"),
-                    ("ground state ~ phi", a >= 0.9999, f"alignment={fmt(a)}")]
+                    ("ground state even, as phi", spec.even[0], f"parity={parity(0)}")]
     else:
-        a = align(spec.eigenvectors[1], w.phi_prime(xs))
         verdicts = [("lambda0 < 0", lam[0] < -1e-4 * nu, f"lambda0={fmt(lam[0])}"),
                     ("lambda1 ~ 0", abs(lam[1]) <= 1e-6 * nu, f"|lambda1|={fmt(abs(lam[1]))}"),
                     ("lambda2 > 0", lam[2] > 1e-4 * nu, f"lambda2={fmt(lam[2])}"),
                     ("first three separated",
                      lam[1] - lam[0] > 1e-3 * nu and lam[2] - lam[1] > 1e-3 * nu,
                      f"gaps {fmt(lam[1] - lam[0])}, {fmt(lam[2] - lam[1])}"),
-                    ("second eigenvector ~ phi'", a >= 0.9999, f"alignment={fmt(a)}")]
+                    ("lambda1 odd, as phi'", not spec.even[1], f"parity={parity(1)}")]
     _judge(spec, args, verdicts)
 
 

@@ -17,19 +17,23 @@ with no index matrix, and the parity blocks below are built from its slices.
 sine block, each real symmetric Toeplitz-plus-Hankel: n = 0..M and
 n = 1..M for periodic spectra, the pairs n <-> -1 - n with n = 0..M-1 for
 semi-periodic ones.  The L3/L4 spectra and constrained minima split it at
-M = (N - 1) // 4; each block gets one `eigh`, and each eigenvector is a
-real cosine or sine series, sampled on the grid by one inverse FFT.  The
-Lame band edges are returned from the whole matrix at M = N/8, unsplit,
-so a closed gap keeps lo < hi, and checked against the blocks at
-M = N/4 on 2N samples (see `instability_intervals`).  `grid_matrix`, the
-dense N-point grid operator, is the reference these solves are tested
-against.
+M = (N - 1) // 4.  A spectrum solves each block for its eigenvalues alone
+(`eigvalsh`) and labels every mode even or odd by its block; only when its
+eigenvectors are first read does each block get one `eigh`, and each
+eigenvector is a real cosine or sine series, sampled on the grid by one
+inverse FFT.  The Lame band edges are returned from the whole matrix at
+M = N/8, unsplit, so a closed gap keeps lo < hi, and checked against the
+blocks at M = N/4 on 2N samples (see `instability_intervals`).
+`grid_matrix`, the dense N-point grid operator, is the reference these
+solves are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,12 +135,26 @@ class HillOperator:
 
 @dataclass(frozen=True)
 class HillSpectrum:
-    """Lowest eigenpairs of a Hill operator; eigenvectors are grid samples."""
+    """Lowest eigenvalues of a Hill operator, each labelled by its parity.
+
+    `even[i]` is True when mode i is even about x = 0 (a cosine series) and
+    False when it is odd (a sine series).  The eigenvectors are solved the
+    first time `eigenvectors` is read: the spectrum keeps its two parity
+    blocks until then (about 0.26 MB at N = 512) and drops them after.
+    """
 
     boundary: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # shape (m, N), orthonormal rows in R^N
+    even: np.ndarray  # shape (m,), bool
     N: int
+    _vectors: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Grid samples, shape (m, N), orthonormal rows in R^N; row i belongs to eigenvalues[i]."""
+        vecs = self._vectors()
+        object.__setattr__(self, "_vectors", None)
+        return vecs
 
     def to_csv(self, path) -> None:
         write_csv(path, ["index", "eigenvalue"], enumerate(self.eigenvalues))
@@ -220,26 +238,33 @@ def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
     if not 1 <= m <= size:
         raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
                           f"mode window holds at most {size}")
-    lam_e, vec_e = np.linalg.eigh(even)
-    lam_o, vec_o = np.linalg.eigh(odd)
-    lam = np.concatenate([lam_e, lam_o])
+    lam_e = np.linalg.eigvalsh(even)
+    lam = np.concatenate([lam_e, np.linalg.eigvalsh(odd)])
     order = np.argsort(lam, kind="stable")[:m]
     is_even = order < lam_e.size
-    # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
-    # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
-    first_odd = 1 if boundary == "periodic" else 0
-    coef = np.zeros((m, op.N), dtype=complex)
-    coef[is_even, :lam_e.size] = math.sqrt(2.0) * vec_e[:, order[is_even]].T
-    coef[~is_even, first_odd:first_odd + lam_o.size] = (
-        -1j * math.sqrt(2.0) * vec_o[:, order[~is_even] - lam_e.size].T)
-    if boundary == "periodic":
-        coef[:, 0] /= math.sqrt(2.0)
-    phase = np.exp(1j * op._wavenumbers(boundary, 0) * op.L / op.N * np.arange(op.N))
-    vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
-    # sign convention: the largest-magnitude entry of each eigenvector is positive
-    peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
-    vecs = np.where((peak < 0.0)[:, None], -vecs, vecs)
-    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], eigenvectors=vecs, N=op.N)
+
+    def vectors():
+        # row i pairs with eigenvalues[i]: column order[i] of the cosine
+        # block's eigh, or column order[i] - lam_e.size of the sine block's
+        _, vec_e = np.linalg.eigh(even)
+        _, vec_o = np.linalg.eigh(odd)
+        # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
+        # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
+        first_odd = 1 if boundary == "periodic" else 0
+        coef = np.zeros((m, op.N), dtype=complex)
+        coef[is_even, :lam_e.size] = math.sqrt(2.0) * vec_e[:, order[is_even]].T
+        coef[~is_even, first_odd:first_odd + odd.shape[0]] = (
+            -1j * math.sqrt(2.0) * vec_o[:, order[~is_even] - lam_e.size].T)
+        if boundary == "periodic":
+            coef[:, 0] /= math.sqrt(2.0)
+        phase = np.exp(1j * op._wavenumbers(boundary, 0) * op.L / op.N * np.arange(op.N))
+        vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
+        # sign convention: the largest-magnitude entry of each eigenvector is positive
+        peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
+        return np.where((peak < 0.0)[:, None], -vecs, vecs)
+
+    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], even=is_even, N=op.N,
+                        _vectors=vectors)
 
 
 def periodic_spectrum(op: HillOperator, m: int) -> HillSpectrum:

@@ -18,7 +18,11 @@ states the moves in CHANGES.md:
 
     PYTHONPATH=src python3 tests/golden/regenerate.py
 
-Run it from the repository root.  It writes `tests/golden/manifest.json`.
+Run it from the repository root.  It writes `tests/golden/manifest.json`
+and prints, for each case and stream, what moved against the manifest it
+replaces: for exact streams whether the bytes changed, for number-compared
+ones whether the text with its numbers masked changed and the largest move
+of any number, |new - old| / max(1, |old|), the measure of `number_bound`.
 """
 
 import contextlib
@@ -51,6 +55,8 @@ CASES = [
                   "--seed", "5", "--N", "256", "--t-end", "0.2"], "solitary.csv", False),
     ("spectrum_L3", ["spectrum", "--operator", "L3", *STD_WAVE, "--N", "256"],
      "L3.csv", True),
+    ("spectrum_L4", ["spectrum", "--operator", "L4", *STD_WAVE, "--N", "256", "--format", "json"],
+     "L4.json", True),
     ("spectrum_lame", ["spectrum", "--operator", "lame", *STD_WAVE, "--format", "json"],
      "lame.json", True),
 ]
@@ -92,12 +98,40 @@ def observe(argv, out_name, directory, numbers):
     return {"exit": code, **{k: _digest(v, numbers) for k, v in streams.items()}}
 
 
+def _move(old, new) -> str:
+    """What moved in one stream between two digests of it."""
+    if isinstance(old, str) and isinstance(new, str):
+        return "bytes identical" if old == new else "bytes changed"
+    if isinstance(old, str) or isinstance(new, str):
+        return "compare mode changed"
+    text = "masked text " + ("identical" if old["text_sha256"] == new["text_sha256"] else "changed")
+    a, b = old["numbers"], new["numbers"]
+    # numbers pair in order; when their count changed, only the leading
+    # ones pair, and a large move shows that the pairing slipped
+    move = max((abs(y - x) / max(1.0, abs(x)) for x, y in zip(a, b)), default=0.0)
+    paired = f"{len(a)} numbers" if len(a) == len(b) else \
+        f"{len(a)} -> {len(b)} numbers, the first {min(len(a), len(b))} paired"
+    return f"{text}, largest number move {move:.2g} over {paired}"
+
+
 def main() -> int:
+    old = {}
+    if MANIFEST.exists():
+        old = {c["name"]: c for c in json.loads(MANIFEST.read_text())["cases"]}
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, out_name, numbers in CASES:
             cases.append({"name": name, "argv": argv, "out": out_name, "numbers": numbers,
                           **observe(argv, out_name, tmp, numbers)})
+    for case in cases:
+        before = old.get(case["name"])
+        if before is None:
+            print(f"{case['name']}: new case")
+            continue
+        if before["exit"] != case["exit"]:
+            print(f"{case['name']}: exit {before['exit']} -> {case['exit']}")
+        for stream in ("file", "stdout", "stderr"):
+            print(f"{case['name']} {stream}: {_move(before[stream], case[stream])}")
     MANIFEST.write_text(json.dumps({"number_bound": NUMBER_BOUND, "cases": cases},
                                    indent=1) + "\n")
     print(f"wrote {MANIFEST} ({len(cases)} cases)")

@@ -1,5 +1,6 @@
 """Exit-code contract, output formats, and config precedence of the CLI."""
 
+import dataclasses
 import filecmp
 import inspect
 import itertools
@@ -19,6 +20,7 @@ from zakwave import cli, wavefamily
 from zakwave.cli import main
 from zakwave.dynamics import invariants, stability_experiment, wave_state
 from zakwave.errors import AccuracyError, VerdictError
+from zakwave.spectral import periodic_spectrum
 from zakwave.wavefamily import build_wave, family_sweep
 
 
@@ -506,6 +508,34 @@ def test_spectrum_verdicts_on_standard_wave(capsys):
                            "--nu", "0.2", "--N", "512")
         assert code == 0, op
         assert "[FAIL]" not in out
+
+
+def test_L3_L4_verdicts_read_parity_and_solve_no_eigenvector(monkeypatch, capsys):
+    # the kernels are named by parity (phi even, phi' odd), so the command
+    # solves eigenvalues only
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    for op, line in (("L3", "[pass] lambda1 odd, as phi': parity=odd"),
+                     ("L4", "[pass] ground state even, as phi: parity=even")):
+        code, out, _ = run(capsys, "spectrum", "--operator", op, *STD_WAVE, "--N", "256")
+        assert code == 0, op
+        assert line in out.splitlines()[-1], op
+    assert calls == []
+
+
+def test_kernel_of_the_wrong_parity_is_a_verdict_failure(monkeypatch, capsys):
+    def flipped(op, m):
+        spec = periodic_spectrum(op, m)
+        return dataclasses.replace(spec, even=~spec.even)
+
+    monkeypatch.setattr(cli, "periodic_spectrum", flipped)
+    for op, name, parity in (("L3", "lambda1 odd, as phi'", "even"),
+                             ("L4", "ground state even, as phi", "odd")):
+        code, out, err = run(capsys, "spectrum", "--operator", op, *STD_WAVE, "--N", "256")
+        assert code == 3, op
+        assert f"[FAIL] {name}: parity={parity}" in out
+        assert err == f"verdict FAIL: {name}\n"
 
 
 def test_too_few_spectrum_modes_is_usage_error(capsys):

@@ -26,7 +26,7 @@ from zakwave.spectral import (
     periodic_spectrum,
     semiperiodic_spectrum,
 )
-from zakwave.wavefamily import build_wave, solitary_wave
+from zakwave.wavefamily import build_wave, nu_threshold, solitary_wave
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,9 +297,16 @@ def test_lame_parity_blocks_hold_the_closed_form(k):
     assert np.max(np.abs(lam - lame_eigen_analytic(m))) <= 1e-13
 
 
-def _parity(vecs):
-    """+1 for even, -1 for odd grid vectors: v[-j mod N] = +/- v[j]."""
-    mirrored = vecs[:, (-np.arange(vecs.shape[1])) % vecs.shape[1]]
+def _parity(vecs, boundary="periodic"):
+    """+1 for even, -1 for odd grid vectors about x = 0: v(-x_j) = +/- v(x_j).
+
+    v(-x_j) is v[-j mod N], negated for j > 0 on semi-periodic vectors,
+    which change sign over one period.
+    """
+    N = vecs.shape[1]
+    mirrored = vecs[:, (-np.arange(N)) % N]
+    if boundary == "semiperiodic":
+        mirrored[:, 1:] *= -1.0
     even = np.max(np.abs(mirrored - vecs), axis=1) <= 1e-12
     odd = np.max(np.abs(mirrored + vecs), axis=1) <= 1e-12
     assert np.all(even ^ odd)
@@ -310,9 +317,15 @@ def _parity(vecs):
 def test_periodic_eigenvectors_are_even_or_odd(wave_std, wave_c0, builder):
     for w in (wave_std, wave_c0):
         op = builder(w, 512)
-        parity = _parity(periodic_spectrum(op, 2 * ((op.N - 1) // 4) + 1).eigenvectors)
-        # 128 cosines n = 0..127 and 127 sines n = 1..127
-        assert np.sum(parity == 1) == 128 and np.sum(parity == -1) == 127
+        # periodic: 128 cosines n = 0..127 and 127 sines n = 1..127;
+        # semi-periodic: 127 of each, n = 0..126 paired with -1 - n
+        for boundary, n_even, n_odd in (("periodic", 128, 127), ("semiperiodic", 127, 127)):
+            spec = SPECTRUM[boundary](op, n_even + n_odd)
+            parity = _parity(spec.eigenvectors, boundary)
+            assert np.sum(parity == 1) == n_even and np.sum(parity == -1) == n_odd
+            # the parity each mode carries is the one its eigenvector has
+            assert spec.even.dtype == bool
+            assert np.array_equal(spec.even, parity == 1)
 
 
 def test_kernels_are_the_lowest_odd_L3_and_even_L4_modes(wave_std, wave_c0):
@@ -398,22 +411,28 @@ def test_operators_annihilate_exact_kernels(wave_std):
     (hill_L3, "semiperiodic", 512), (hill_L4, "semiperiodic", 512),
 ], ids=["L3-periodic-256", "L4-periodic-512", "L3-semiperiodic-512", "L4-semiperiodic-512"])
 def test_eigen_residuals(wave_std, builder, boundary, N):
-    # the mode-space eigenpairs against the dense grid oracle
-    op = builder(wave_std, N)
-    mat = op.grid_matrix(boundary)
-    spec = SPECTRUM[boundary](op, 6)
-    lam_grid, vec_grid = np.linalg.eigh(mat)
-    assert np.max(np.abs(spec.eigenvalues - lam_grid[:6])) <= 2e-12
-    norm = np.linalg.norm(mat, 2)
-    for lam, vec in zip(spec.eigenvalues, spec.eigenvectors):
-        assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-8 * norm
-    vecs = spec.eigenvectors
-    assert vecs.dtype == np.float64
-    assert np.max(np.abs(vecs @ vecs.T - np.eye(6))) <= 1e-13
-    if builder is hill_L4 and boundary == "periodic":
-        # lambda1 and lambda2 nearly coincide: only their span is defined
-        proj = vecs[1:3].T @ vecs[1:3] - vec_grid[:, 1:3] @ vec_grid[:, 1:3].T
-        assert np.max(np.abs(proj)) <= 1e-10
+    # the mode-space eigenpairs against the dense grid oracle.  Near the
+    # threshold the potential is almost constant, so each cosine ties with
+    # its sine to rounding: the values come from `eigvalsh` and the vectors
+    # from a later `eigh`, and each row must still pair with its own value.
+    L, c = wave_std.params.L, wave_std.params.c
+    near = build_wave(L, c, 1.5 * nu_threshold(L))
+    for w in (wave_std, near):
+        op = builder(w, N)
+        mat = op.grid_matrix(boundary)
+        spec = SPECTRUM[boundary](op, 6)
+        lam_grid, vec_grid = np.linalg.eigh(mat)
+        assert np.max(np.abs(spec.eigenvalues - lam_grid[:6])) <= 2e-12
+        norm = np.linalg.norm(mat, 2)
+        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors):
+            assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-8 * norm
+        vecs = spec.eigenvectors
+        assert vecs.dtype == np.float64
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(6))) <= 1e-13
+        if w is wave_std and builder is hill_L4 and boundary == "periodic":
+            # lambda1 and lambda2 nearly coincide: only their span is defined
+            proj = vecs[1:3].T @ vecs[1:3] - vec_grid[:, 1:3] @ vec_grid[:, 1:3].T
+            assert np.max(np.abs(proj)) <= 1e-10
 
 
 def test_spectral_convergence_under_doubling(wave_std):
