@@ -169,8 +169,8 @@ def cmd_construct(args) -> None:
     p = w.params
     xs = np.arange(args.samples) * p.L / args.samples
 
-    r1, r2, r3 = ode_residuals(w, max(args.samples, 64))
-    print(f"ode residuals: r1={fmt(r1)} r2={fmt(r2)} r3={fmt(r3)}")
+    r1, r2 = ode_residuals(w, max(args.samples, 64))
+    print(f"ode residuals: r1={fmt(r1)} r2={fmt(r2)}")
 
     _write(_Columns({"x": xs, "phi": w.phi(xs), "psi": w.psi(xs), "varphi": w.varphi(xs),
                      "phi_prime": w.phi_prime(xs)}, head={"params": asdict(p)}), args)

@@ -75,12 +75,9 @@ class GridSpec:
 
     def integrate(self, f):
         """Spectral quadrature over the last axis, exact for trigonometric
-        polynomials: a float or complex for (N,) samples, an array of one
-        value per row for (B, N) samples."""
-        total = np.sum(f, axis=-1) * self.L / self.N
-        if np.ndim(total):
-            return total
-        return complex(total) if np.iscomplexobj(f) else float(total)
+        polynomials: a numpy scalar for (N,) samples, an array of one value
+        per row for (B, N) samples."""
+        return np.sum(f, axis=-1) * self.L / self.N
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -387,8 +384,8 @@ def _nearest(d_sq: np.ndarray, *values: np.ndarray):
 
 
 def _per_member(ndim: int, *values: np.ndarray):
-    """The (B,) results as they are for a batch, as floats for one field."""
-    return values if ndim > 1 else tuple(float(v[0]) for v in values)
+    """The (B,) results as they are for a batch, row 0 of each for one field."""
+    return values if ndim > 1 else tuple(v[0] for v in values)
 
 
 def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:

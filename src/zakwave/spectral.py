@@ -31,7 +31,6 @@ solves are tested against.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,23 +137,40 @@ class HillSpectrum:
     """Lowest eigenvalues of a Hill operator, each labelled by its parity.
 
     `even[i]` is True when mode i is even about x = 0 (a cosine series) and
-    False when it is odd (a sine series).  The eigenvectors are solved the
-    first time `eigenvectors` is read: the spectrum keeps its two parity
-    blocks until then (about 0.26 MB at N = 512) and drops them after.
+    False when it is odd (a sine series).  The spectrum holds its operator,
+    and the first read of `eigenvectors` rebuilds the two parity blocks
+    from it and solves each with one `eigh`.
     """
 
     boundary: str
     eigenvalues: np.ndarray
     even: np.ndarray  # shape (m,), bool
     N: int
-    _vectors: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
+    _op: HillOperator = field(repr=False, compare=False)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Grid samples, shape (m, N), orthonormal rows in R^N; row i belongs to eigenvalues[i]."""
-        vecs = self._vectors()
-        object.__setattr__(self, "_vectors", None)
-        return vecs
+        op, m, is_even = self._op, self.eigenvalues.size, self.even
+        even, odd = _blocks(op, self.boundary)
+        # eigh lists a block's modes in ascending order, as the spectrum's stable
+        # argsort does, so the j-th even (odd) row is column j of its block's eigh
+        _, vec_e = np.linalg.eigh(even)
+        _, vec_o = np.linalg.eigh(odd)
+        # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
+        # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
+        first_odd = 1 if self.boundary == "periodic" else 0
+        coef = np.zeros((m, op.N), dtype=complex)
+        coef[is_even, :even.shape[0]] = math.sqrt(2.0) * vec_e[:, :np.count_nonzero(is_even)].T
+        coef[~is_even, first_odd:first_odd + odd.shape[0]] = (
+            -1j * math.sqrt(2.0) * vec_o[:, :np.count_nonzero(~is_even)].T)
+        if self.boundary == "periodic":
+            coef[:, 0] /= math.sqrt(2.0)
+        phase = np.exp(1j * op._wavenumbers(self.boundary, 0) * op.L / op.N * np.arange(op.N))
+        vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
+        # sign convention: the largest-magnitude entry of each eigenvector is positive
+        peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
+        return np.where((peak < 0.0)[:, None], -vecs, vecs)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["index", "eigenvalue"], enumerate(self.eigenvalues))
@@ -190,20 +206,22 @@ def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
     return HillOperator(L=float(L), shift=float(shift), potential=samples, N=N)
 
 
-def hill_L3(w: DnoidalWave, N: int = 512) -> HillOperator:
-    """Operator with potential 3 psi and constant term nu."""
+def _wave_operator(w: DnoidalWave, N: int, weight: float) -> HillOperator:
+    """Operator with potential weight * psi and constant term nu."""
     p = w.params
     _check_period(p.L)
     xs = np.arange(N) * p.L / N
-    return assemble(p.L, p.nu, 3.0 * w.psi(xs), N)
+    return assemble(p.L, p.nu, weight * w.psi(xs), N)
+
+
+def hill_L3(w: DnoidalWave, N: int = 512) -> HillOperator:
+    """Operator with potential 3 psi and constant term nu."""
+    return _wave_operator(w, N, 3.0)
 
 
 def hill_L4(w: DnoidalWave, N: int = 512) -> HillOperator:
     """Operator with potential psi and constant term nu."""
-    p = w.params
-    _check_period(p.L)
-    xs = np.arange(N) * p.L / N
-    return assemble(p.L, p.nu, w.psi(xs), N)
+    return _wave_operator(w, N, 1.0)
 
 
 def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
@@ -232,8 +250,13 @@ def _parity_blocks(F: np.ndarray, boundary: str):
     return toeplitz + hankel, toeplitz - hankel
 
 
+def _blocks(op: HillOperator, boundary: str):
+    """Cosine and sine blocks of op's matrix on the L3/L4 window M = (N - 1) // 4."""
+    return _parity_blocks(op.fourier_matrix(boundary, (op.N - 1) // 4), boundary)
+
+
 def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    even, odd = _parity_blocks(op.fourier_matrix(boundary, (op.N - 1) // 4), boundary)
+    even, odd = _blocks(op, boundary)
     size = even.shape[0] + odd.shape[0]
     if not 1 <= m <= size:
         raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
@@ -241,30 +264,8 @@ def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
     lam_e = np.linalg.eigvalsh(even)
     lam = np.concatenate([lam_e, np.linalg.eigvalsh(odd)])
     order = np.argsort(lam, kind="stable")[:m]
-    is_even = order < lam_e.size
-
-    def vectors():
-        # row i pairs with eigenvalues[i]: column order[i] of the cosine
-        # block's eigh, or column order[i] - lam_e.size of the sine block's
-        _, vec_e = np.linalg.eigh(even)
-        _, vec_o = np.linalg.eigh(odd)
-        # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
-        # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
-        first_odd = 1 if boundary == "periodic" else 0
-        coef = np.zeros((m, op.N), dtype=complex)
-        coef[is_even, :lam_e.size] = math.sqrt(2.0) * vec_e[:, order[is_even]].T
-        coef[~is_even, first_odd:first_odd + odd.shape[0]] = (
-            -1j * math.sqrt(2.0) * vec_o[:, order[~is_even] - lam_e.size].T)
-        if boundary == "periodic":
-            coef[:, 0] /= math.sqrt(2.0)
-        phase = np.exp(1j * op._wavenumbers(boundary, 0) * op.L / op.N * np.arange(op.N))
-        vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
-        # sign convention: the largest-magnitude entry of each eigenvector is positive
-        peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
-        return np.where((peak < 0.0)[:, None], -vecs, vecs)
-
-    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], even=is_even, N=op.N,
-                        _vectors=vectors)
+    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], even=order < lam_e.size,
+                        N=op.N, _op=op)
 
 
 def periodic_spectrum(op: HillOperator, m: int) -> HillSpectrum:
@@ -360,7 +361,7 @@ def constrained_rayleigh_min(op: HillOperator, constraints) -> float:
     cons = np.atleast_2d(np.asarray(constraints, dtype=float))
     if cons.shape[1] != op.N:
         raise DomainError("constraint vectors must live on the operator grid")
-    even, odd = _parity_blocks(op.fourier_matrix("periodic", (op.N - 1) // 4), "periodic")
+    even, odd = _blocks(op, "periodic")
     # each constraint's coordinates in the cosine and sine bases, up to a
     # common scale: Re chat_n (chat_0 / sqrt(2) for n = 0) and -Im chat_n
     chat = np.fft.fft(cons)[:, :even.shape[0]]

@@ -187,21 +187,6 @@ class DnoidalWave:
         k2 = self.modulus.k**2
         return -p.eta1**2 * k2 / math.sqrt(2.0 * p.alpha) * sn * cn
 
-    def phi_second(self, xs):
-        p = self.params
-        sn, cn, dn = self._sncndn(xs)
-        k2 = self.modulus.k**2
-        return -p.eta1**3 * k2 / (2.0 * p.alpha) * (cn * cn - sn * sn) * dn
-
-    def psi_second(self, xs):
-        # (dn^2)'' = -2 k^2 (cn^2 dn^2 - sn^2 dn^2 - k^2 sn^2 cn^2) * scale^2
-        p = self.params
-        sn, cn, dn = self._sncndn(xs)
-        k2 = self.modulus.k**2
-        scale2 = p.eta1**2 / (2.0 * p.alpha)
-        ddn2 = -2.0 * k2 * (cn * cn * dn * dn - sn * sn * dn * dn - k2 * sn * sn * cn * cn)
-        return -p.eta1**2 / p.alpha * ddn2 * scale2
-
 
 def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
     """Construct the unique dnoidal wave with period L for (c, nu).
@@ -236,26 +221,27 @@ def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
 
 
 def ode_residuals(w: DnoidalWave, N: int = 1024):
-    """Sup-norm residuals of the three defining identities on an N-grid.
+    """Sup-norm residuals (r1, r2) of the profile's two identities on an
+    N-point grid of one period, from one sn, cn, dn evaluation, each divided
+    by its scale so that they mean the same at every L sqrt(nu):
 
-    r1: phi'' - nu phi + phi^3/alpha = 0
-    r2: (phi')^2 - (phi^2 - eta2^2)(eta1^2 - phi^2) / (2 alpha) = 0
-    r3: (c^2 - 1) psi'' - (phi^2)'' = 0
+    r1 = (q/2) dn'' - dn + q dn^3, dn'' = -k^2 (cn^2 - sn^2) dn, q = eta1^2/(alpha nu):
+         phi'' - nu phi + phi^3/alpha = 0 divided by nu eta1;
+    r2 = (k^2 sn cn)^2 - (dn^2 - (eta2/eta1)^2)(1 - dn^2):
+         (phi')^2 - (phi^2 - eta2^2)(eta1^2 - phi^2)/(2 alpha) = 0 divided by eta1^4/(2 alpha).
     """
     if N < 64:
         raise DomainError("ode_residuals needs N >= 64")
     p = w.params
     if not math.isfinite(p.L):
         raise DomainError(f"ode_residuals samples one period, but L={p.L}")
-    xs = np.linspace(0.0, p.L, N, endpoint=False)
-    ph = w.phi(xs)
-    dph = w.phi_prime(xs)
-    ddph = w.phi_second(xs)
-    r1 = np.max(np.abs(ddph - p.nu * ph + ph**3 / p.alpha))
-    r2 = np.max(np.abs(dph**2 - (ph**2 - p.eta2**2) * (p.eta1**2 - ph**2) / (2.0 * p.alpha)))
-    dd_phisq = 2.0 * (dph * dph + ph * ddph)
-    r3 = np.max(np.abs((p.c**2 - 1.0) * w.psi_second(xs) - dd_phisq))
-    return float(r1), float(r2), float(r3)
+    sn, cn, dn = w._sncndn(np.linspace(0.0, p.L, N, endpoint=False))
+    k2 = w.modulus.k**2
+    q = p.eta1**2 / (p.alpha * p.nu)
+    dn2 = dn * dn
+    r1 = np.max(np.abs(-0.5 * q * k2 * (cn * cn - sn * sn) * dn - dn + q * dn2 * dn))
+    r2 = np.max(np.abs((k2 * sn * cn) ** 2 - (dn2 - (p.eta2 / p.eta1) ** 2) * (1.0 - dn2)))
+    return float(r1), float(r2)
 
 
 def mass_integral(w: DnoidalWave) -> float:

@@ -45,6 +45,9 @@ STD_WAVE = ["--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2"]
 CASES = [
     ("construct", ["construct", *STD_WAVE, "--samples", "64", "--format", "json"],
      "wave.json", False),
+    # L sqrt(nu) = 10 at a scale where the profile ODE's terms underflow
+    ("construct_underflow", ["construct", "--L", "1e151", "--c", "0", "--nu", "1e-300",
+                             "--samples", "64", "--format", "json"], "wave.json", False),
     ("sweep", ["sweep", "--L", "6.2832", "--c", "0", "--nu-min", "0.6", "--nu-max", "5",
                "--points", "8"], "family.csv", False),
     ("evolve", ["evolve", "--L", "6.283185307179586", "--c", "0", "--nu", "1",

@@ -411,7 +411,7 @@ def _construct_kprime_and_residuals(tmp_path, capsys, L, nu):
     assert code == 0, err
     params = json.loads(out.read_text())["params"]
     residuals = [float(r) for r in re.findall(r"r\d=(\S+)", stdout)]
-    assert len(residuals) == 3
+    assert len(residuals) == 2
     return params["eta2"] / params["eta1"], residuals
 
 
@@ -614,6 +614,14 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
                        str(tmp_path / "missing.json"))
     assert code == 1
     assert "cannot read config" in err
+
+
+def test_config_that_is_no_json_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = run(capsys, "construct", "--config", str(cfg))
+    assert code == 1
+    assert "config file must hold a JSON object" in err
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ def test_modulus_rejects_out_of_range():
         Modulus.from_k(1.5)
     with pytest.raises(DomainError):
         Modulus.from_kprime_sq(-0.1)
+
+
+@pytest.mark.parametrize("m", [Modulus.from_k(0.0), Modulus.from_kprime_sq(0.0)])
+def test_dK_dk_rejects_the_ends_of_the_modulus_range(m):
+    with pytest.raises(DomainError, match=re.escape("dK/dk requires k in (0, 1)")):
+        dK_dk(m)
 
 
 def test_each_modulus_runs_its_agm_once(monkeypatch):

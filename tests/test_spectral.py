@@ -207,6 +207,11 @@ def test_fourier_matrix_is_bitwise_the_index_gather(N):
             assert np.array_equal(op.fourier_matrix(boundary, M), ref), (M, boundary)
 
 
+def test_fourier_matrix_rejects_an_unknown_boundary(wave_std):
+    with pytest.raises(ValueError, match="unknown boundary 'antiperiodic'"):
+        hill_L4(wave_std, 256).fourier_matrix("antiperiodic", 8)
+
+
 def test_fourier_matrix_rejects_aliasing_mode_counts():
     op = assemble(5.0, 0.0, np.zeros(64), 64)
     for M in (0, -1, 16, 40):
@@ -570,6 +575,24 @@ def test_instability_intervals_check_every_edge(monkeypatch):
         instability_intervals(Modulus.from_k(0.5))
 
 
+def test_instability_intervals_check_every_gap_width(monkeypatch):
+    # a harmonic of amplitude 1e-6 at n = 4 in the 2N potential opens the
+    # closed gap (lambda3, lambda4) by about 1e-6 while each of its edges
+    # moves by about 5e-7, inside the 1e-7 * |edge| = 1.5e-6 edge bound
+    lame = spectral.lame_operator
+
+    def opened(m, N=512):
+        op = lame(m, N)
+        if N == 512:
+            return op
+        xs = _grid(op.L, N)
+        return assemble(op.L, op.shift, op.potential + 1e-6 * np.cos(2.0 * math.pi * 4 * xs / op.L), N)
+
+    monkeypatch.setattr(spectral, "lame_operator", opened)
+    with pytest.raises(AccuracyError, match="gap widths not converged"):
+        instability_intervals(Modulus.from_k(0.5))
+
+
 # the moduli of the L = 8 pi, c = 0.5 waves whose Lame edges the CLI reports:
 # nu = 0.2 and nu over [0.04, 0.12]
 LAME_SET = MODULI + [build_wave(8.0 * math.pi, 0.5, nu).modulus.k
@@ -653,3 +676,8 @@ def test_constrained_minimum_rejects_rank_deficiency(wave_std):
     phi = wave_std.phi(xs)
     with pytest.raises(DomainError):
         constrained_rayleigh_min(hill_L3(wave_std, 512), [phi, 2.0 * phi])
+
+
+def test_constrained_minimum_rejects_constraints_off_the_grid(wave_std):
+    with pytest.raises(DomainError, match="constraint vectors must live on the operator grid"):
+        constrained_rayleigh_min(hill_L3(wave_std, 512), [wave_std.phi(_grid(wave_std.params.L, 256))])

@@ -1,6 +1,7 @@
 """Dnoidal family construction against scan/quadrature oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import ellipk
 
 from zakwave import elliptic, wavefamily
 from zakwave.elliptic import Modulus, complete_E, complete_K
-from zakwave.errors import DomainError, NoSolutionError
+from zakwave.errors import DomainError, NoSolutionError, VerdictError
 from zakwave.wavefamily import (
     DnoidalWave,
     build_wave,
@@ -63,6 +64,9 @@ def test_period_domain_errors():
         period_of(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         period_of(2.0, 1.0, 1.0)
+    for nu in (0.0, -1.0):
+        with pytest.raises(DomainError, match="period_of requires nu > 0"):
+            period_of(0.5, nu, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +260,26 @@ def test_ode_residuals_small(L, c, nu_mult):
     nu = nu_threshold(L) * nu_mult
     w = _quiet_build(L, c, nu)
     scale = max(1.0, w.params.eta1**3)
-    r1, r2, r3 = ode_residuals(w, 1024)
-    assert max(r1, r2, r3) <= 1e-9 * scale
+    r1, r2 = ode_residuals(w, 1024)
+    assert max(r1, r2) <= 1e-9 * scale
+
+
+def test_ode_residuals_read_sn_cn_dn_once_at_every_scale(monkeypatch):
+    # L sqrt(nu) = 10 at nu = 1e-300: phi'' - nu phi + phi^3/alpha has terms
+    # of about 1e-450, which underflow, but the scaled identities do not
+    calls = []
+    jacobi = wavefamily.jacobi_sn_cn_dn
+    monkeypatch.setattr(wavefamily, "jacobi_sn_cn_dn", lambda u, m: calls.append(m) or jacobi(u, m))
+    w = _quiet_build(1e151, 0.0, 1e-300)
+    residuals = ode_residuals(w, 512)
+    assert calls == [w.modulus]
+    assert len(residuals) == 2
+    assert all(0.0 < r <= 1e-14 for r in residuals)
+
+
+def test_ode_residuals_need_64_samples(wave_std):
+    with pytest.raises(DomainError, match="ode_residuals needs N >= 64"):
+        ode_residuals(wave_std, 63)
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +459,7 @@ def test_solitary_is_the_k1_dnoidal_wave():
     phi = amp * sech
     psi = -phi**2 / alpha
     closed = {"phi": phi, "phi_prime": -amp * b * tanh * sech, "psi": psi,
-              "varphi": c * psi, "phi_second": amp * b * b * (sech - 2.0 * sech**3)}
+              "varphi": c * psi}
     for name, ref in closed.items():
         err = np.max(np.abs(getattr(sw, name)(xs) - ref))
         assert err <= 1e-14 * np.max(np.abs(ref)), name
@@ -492,6 +514,16 @@ def test_family_sweep_reports_offending_nu():
         family_sweep(L, 0.0, [nu_threshold(L) * 2.0, bad])
 
 
+def test_family_sweep_names_a_broken_eta2_chain(monkeypatch):
+    # the two waves come back in swapped order, so eta2 rises along the sweep
+    L = 10.0
+    lo, hi = nu_threshold(L) * 2.0, nu_threshold(L) * 3.0
+    build, swap = wavefamily.build_wave, {lo: hi, hi: lo}
+    monkeypatch.setattr(wavefamily, "build_wave", lambda L, c, nu: build(L, c, swap[nu]))
+    with pytest.raises(VerdictError, match=re.escape(f"eta2 chain not strictly decreasing at nu={lo}")):
+        family_sweep(L, 0.0, [lo, hi])
+
+
 def test_family_table_serialization(tmp_path):
     L, c = 10.0, 0.0
     grid = np.geomspace(nu_threshold(L) * 2.0, nu_threshold(L) * 10.0, 4)
@@ -513,6 +545,6 @@ def test_family_table_serialization(tmp_path):
 def test_random_waves_satisfy_energy_relation(c, mult):
     L = 2.0 * math.pi
     w = _quiet_build(L, c, nu_threshold(L) * mult)
-    r1, r2, r3 = ode_residuals(w, 256)
+    r1, r2 = ode_residuals(w, 256)
     scale = max(1.0, w.params.eta1**3)
-    assert max(r1, r2, r3) <= 1e-9 * scale
+    assert max(r1, r2) <= 1e-9 * scale
