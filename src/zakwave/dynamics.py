@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .output import write_csv, write_json
-from .wavefamily import DnoidalWave, solitary_wave
+from .wavefamily import DnoidalWave, _carrier_mismatch, solitary_wave
 
 __all__ = [
     "GridSpec",
@@ -557,8 +557,14 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     the one it gets in a batch of one.  `metadata[i]` seeds the metadata of
     record i.  Blow-up is judged per member, against that member's initial
     sup norm, and names the first failing member.
+
+    A dnoidal wave whose carrier e^(icx/2) is not grid.L-periodic is a
+    DomainError: its sampled u jumps at the wrap, so the run would not
+    start from a solution.  The solitary wave (L = inf) runs on any box.
     """
     c, omega, nu = wave.params.c, wave.params.omega, wave.params.nu
+    if math.isfinite(wave.params.L) and (mismatch := _carrier_mismatch(c, grid.L)):
+        raise DomainError(f"cannot evolve: {mismatch}")
     ev = Evolver(grid, dt)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise DomainError(f"t_end={t_end} must be finite and non-negative")

@@ -18,12 +18,10 @@ sine block, each real symmetric Toeplitz-plus-Hankel: n = 0..M and
 n = 1..M for periodic spectra, the pairs n <-> -1 - n with n = 0..M-1 for
 semi-periodic ones.  The L3/L4 spectra and constrained minima split it at
 M = (N - 1) // 4.  A spectrum solves each block for its eigenvalues alone
-(`eigvalsh`) and labels every mode even or odd by its block; only when its
-eigenvectors are first read does each block get one `eigh`, and each
-eigenvector is a real cosine or sine series, sampled on the grid by one
-inverse FFT.  The Lame band edges are returned from the whole matrix at
-M = N/8, unsplit, so a closed gap keeps lo < hi, and checked against the
-blocks at M = N/4 on 2N samples (see `instability_intervals`).
+(`eigvalsh`) and labels every mode even or odd by its block.  The Lame
+band edges are returned from the whole matrix at M = N/8, unsplit, so a
+closed gap keeps lo < hi, and checked against the blocks at M = N/4 on 2N
+samples (see `instability_intervals`).
 `grid_matrix`, the dense N-point grid operator, is the reference these
 solves are tested against.
 """
@@ -31,8 +29,7 @@ solves are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,40 +134,13 @@ class HillSpectrum:
     """Lowest eigenvalues of a Hill operator, each labelled by its parity.
 
     `even[i]` is True when mode i is even about x = 0 (a cosine series) and
-    False when it is odd (a sine series).  The spectrum holds its operator,
-    and the first read of `eigenvectors` rebuilds the two parity blocks
-    from it and solves each with one `eigh`.
+    False when it is odd (a sine series).
     """
 
     boundary: str
     eigenvalues: np.ndarray
     even: np.ndarray  # shape (m,), bool
     N: int
-    _op: HillOperator = field(repr=False, compare=False)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Grid samples, shape (m, N), orthonormal rows in R^N; row i belongs to eigenvalues[i]."""
-        op, m, is_even = self._op, self.eigenvalues.size, self.even
-        even, odd = _blocks(op, self.boundary)
-        # eigh lists a block's modes in ascending order, as the spectrum's stable
-        # argsort does, so the j-th even (odd) row is column j of its block's eigh
-        _, vec_e = np.linalg.eigh(even)
-        _, vec_o = np.linalg.eigh(odd)
-        # grid samples of sum_a sqrt(2) y_a cos(kappa_a x) or sum_a sqrt(2) y_a sin(kappa_a x)
-        # over a = 0.. (periodic: the n = 0 cosine is y_0 alone and the sines start at n = 1)
-        first_odd = 1 if self.boundary == "periodic" else 0
-        coef = np.zeros((m, op.N), dtype=complex)
-        coef[is_even, :even.shape[0]] = math.sqrt(2.0) * vec_e[:, :np.count_nonzero(is_even)].T
-        coef[~is_even, first_odd:first_odd + odd.shape[0]] = (
-            -1j * math.sqrt(2.0) * vec_o[:, :np.count_nonzero(~is_even)].T)
-        if self.boundary == "periodic":
-            coef[:, 0] /= math.sqrt(2.0)
-        phase = np.exp(1j * op._wavenumbers(self.boundary, 0) * op.L / op.N * np.arange(op.N))
-        vecs = (phase * np.fft.ifft(coef)).real * math.sqrt(op.N)
-        # sign convention: the largest-magnitude entry of each eigenvector is positive
-        peak = vecs[np.arange(m), np.argmax(np.abs(vecs), axis=1)]
-        return np.where((peak < 0.0)[:, None], -vecs, vecs)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["index", "eigenvalue"], enumerate(self.eigenvalues))
@@ -255,26 +225,30 @@ def _blocks(op: HillOperator, boundary: str):
     return _parity_blocks(op.fourier_matrix(boundary, (op.N - 1) // 4), boundary)
 
 
-def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
-    even, odd = _blocks(op, boundary)
-    size = even.shape[0] + odd.shape[0]
-    if not 1 <= m <= size:
-        raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
-                          f"mode window holds at most {size}")
+def _block_eigenvalues(even: np.ndarray, odd: np.ndarray):
+    """Eigenvalues of a cosine and a sine block in ascending order, and
+    True where a value is the cosine block's."""
     lam_e = np.linalg.eigvalsh(even)
     lam = np.concatenate([lam_e, np.linalg.eigvalsh(odd)])
-    order = np.argsort(lam, kind="stable")[:m]
-    return HillSpectrum(boundary=boundary, eigenvalues=lam[order], even=order < lam_e.size,
-                        N=op.N, _op=op)
+    order = np.argsort(lam, kind="stable")
+    return lam[order], order < lam_e.size
+
+
+def _spectrum(op: HillOperator, m: int, boundary: str) -> HillSpectrum:
+    lam, even = _block_eigenvalues(*_blocks(op, boundary))
+    if not 1 <= m <= lam.size:
+        raise DomainError(f"requested {m} modes; the N={op.N} {boundary} "
+                          f"mode window holds at most {lam.size}")
+    return HillSpectrum(boundary=boundary, eigenvalues=lam[:m], even=even[:m], N=op.N)
 
 
 def periodic_spectrum(op: HillOperator, m: int) -> HillSpectrum:
-    """Lowest m eigenpairs under chi(0)=chi(L), chi'(0)=chi'(L)."""
+    """Lowest m eigenvalues and their parities under chi(0)=chi(L), chi'(0)=chi'(L)."""
     return _spectrum(op, m, "periodic")
 
 
 def semiperiodic_spectrum(op: HillOperator, m: int) -> HillSpectrum:
-    """Lowest m eigenpairs under chi(0)=-chi(L), chi'(0)=-chi'(L)."""
+    """Lowest m eigenvalues and their parities under chi(0)=-chi(L), chi'(0)=-chi'(L)."""
     return _spectrum(op, m, "semiperiodic")
 
 
@@ -337,14 +311,8 @@ def instability_intervals(m: Modulus, N: int = 512):
               for name, b in (("lambda", "periodic"), ("mu", "semiperiodic"))}
         return np.array([ev[name][i] for name, i in picks])
 
-    def whole(F, _boundary):
-        return np.linalg.eigvalsh(F)
-
-    def blocks(F, boundary):
-        return np.sort(np.concatenate([np.linalg.eigvalsh(x) for x in _parity_blocks(F, boundary)]))
-
-    edges = band_edges(N, whole)
-    check = band_edges(2 * N, blocks)
+    edges = band_edges(N, lambda F, _b: np.linalg.eigvalsh(F))
+    check = band_edges(2 * N, lambda F, b: _block_eigenvalues(*_parity_blocks(F, b))[0])
     for (name, i), e, e2 in zip(picks, edges, check):
         if abs(e - e2) > 1e-7 * max(1.0, abs(e2)):
             raise AccuracyError(f"band edge {name}{i} not converged under M doubling: {e} vs {e2}")

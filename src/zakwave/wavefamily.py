@@ -188,11 +188,22 @@ class DnoidalWave:
         return -p.eta1**2 * k2 / math.sqrt(2.0 * p.alpha) * sn * cn
 
 
+def _carrier_mismatch(c: float, L: float) -> str | None:
+    """Why the envelope carrier e^(icx/2) is not L-periodic, or None when
+    cL/(4 pi) is an integer to 1e-9."""
+    ratio = c * L / (4.0 * math.pi)
+    if abs(ratio - round(ratio)) <= 1e-9:
+        return None
+    return (f"cL/(4*pi)={ratio:.6g} is not an integer: the envelope "
+            "carrier e^(icx/2) is not L-periodic")
+
+
 def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
     """Construct the unique dnoidal wave with period L for (c, nu).
 
-    Emits a warning (not an error) when c != 0 and cL/(4 pi) is not an
-    integer, i.e. when the envelope's u-field is not itself L-periodic.
+    Emits a warning (not an error) when cL/(4 pi) is not an integer, i.e.
+    when the envelope's u-field is not itself L-periodic: its spectra do
+    not use the carrier, but `evolve` raises DomainError for such a wave.
     """
     import warnings
 
@@ -205,14 +216,8 @@ def build_wave(L: float, c: float, nu: float) -> DnoidalWave:
     ek = complete_E(m) / complete_K(m)
     d0 = -c * eta1**2 / alpha * ek
     aphi = -(eta1 * eta2) ** 2 / (4.0 * alpha)
-    if c != 0.0:
-        ratio = c * L / (4.0 * math.pi)
-        if abs(ratio - round(ratio)) > 1e-9:
-            warnings.warn(
-                f"cL/(4*pi)={ratio:.6g} is not an integer: the envelope "
-                "carrier e^(icx/2) is not L-periodic",
-                stacklevel=2,
-            )
+    if mismatch := _carrier_mismatch(c, L):
+        warnings.warn(mismatch, stacklevel=2)
     params = WaveParams(
         L=L, c=c, omega=omega, nu=nu, alpha=alpha,
         eta1=eta1, eta2=eta2, k=m.k, d0=d0, Aphi=aphi,

@@ -41,27 +41,41 @@ MANIFEST = Path(__file__).with_name("manifest.json")
 
 STD_WAVE = ["--L", "25.132741228718345", "--c", "0.5", "--nu", "0.2"]
 
-# (name, argv without --out, name of the --out file, compare numbers within a bound)
+# (name, argv without --out, name of the --out file, compare numbers within a bound);
+# each command's output is pinned in both of its formats
 CASES = [
     ("construct", ["construct", *STD_WAVE, "--samples", "64", "--format", "json"],
      "wave.json", False),
+    ("construct_csv", ["construct", *STD_WAVE, "--samples", "64"], "wave.csv", False),
     # L sqrt(nu) = 10 at a scale where the profile ODE's terms underflow
     ("construct_underflow", ["construct", "--L", "1e151", "--c", "0", "--nu", "1e-300",
                              "--samples", "64", "--format", "json"], "wave.json", False),
     ("sweep", ["sweep", "--L", "6.2832", "--c", "0", "--nu-min", "0.6", "--nu-max", "5",
                "--points", "8"], "family.csv", False),
+    ("sweep_json", ["sweep", "--L", "6.2832", "--c", "0", "--nu-min", "0.6", "--nu-max", "5",
+                    "--points", "8", "--format", "json"], "family.json", False),
     ("evolve", ["evolve", "--L", "6.283185307179586", "--c", "0", "--nu", "1",
                 "--N", "64", "--t-end", "0.05"], "evolve.csv", False),
+    ("evolve_json", ["evolve", "--L", "6.283185307179586", "--c", "0", "--nu", "1",
+                     "--N", "64", "--t-end", "0.05", "--format", "json"], "evolve.json", False),
     ("stability", ["stability", *STD_WAVE, "--delta", "1e-3", "--seed", "7", "--N", "128",
                    "--t-end", "0.2", "--format", "json"], "run.json", False),
+    ("stability_csv", ["stability", *STD_WAVE, "--delta", "1e-3", "--seed", "7", "--N", "128",
+                       "--t-end", "0.2"], "run.csv", False),
     ("solitary", ["solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
                   "--seed", "5", "--N", "256", "--t-end", "0.2"], "solitary.csv", False),
+    ("solitary_json", ["solitary", "--omega", "-1", "--c", "0.5", "--delta", "1e-3",
+                       "--seed", "5", "--N", "256", "--t-end", "0.2", "--format", "json"],
+     "solitary.json", False),
     ("spectrum_L3", ["spectrum", "--operator", "L3", *STD_WAVE, "--N", "256"],
      "L3.csv", True),
+    ("spectrum_L3_json", ["spectrum", "--operator", "L3", *STD_WAVE, "--N", "256",
+                          "--format", "json"], "L3.json", True),
     ("spectrum_L4", ["spectrum", "--operator", "L4", *STD_WAVE, "--N", "256", "--format", "json"],
      "L4.json", True),
     ("spectrum_lame", ["spectrum", "--operator", "lame", *STD_WAVE, "--format", "json"],
      "lame.json", True),
+    ("spectrum_lame_csv", ["spectrum", "--operator", "lame", *STD_WAVE], "lame.csv", True),
 ]
 
 # |observed - stored| <= rel * max(1, |stored|) for each number of a

@@ -34,7 +34,7 @@ from zakwave.wavefamily import (
     solitary_wave,
 )
 
-from conftest import relative_drift
+from conftest import kernel_residual, relative_drift
 
 LS = (2.0 * math.pi, 10.0, 20.0)
 CS = (0.0, 0.5, -0.5)
@@ -61,9 +61,8 @@ def test_criterion_01_family_construction():
         p = w.params
         T = period_of(p.eta2, p.nu, p.alpha)
         worst_period = max(worst_period, abs(T - p.L) / p.L)
-        scale = max(1.0, p.eta1**3)
-        worst_res = max(worst_res, max(ode_residuals(w, 1024)) / scale)
-    ok = worst_period <= 1e-12 and worst_res <= 1e-9
+        worst_res = max(worst_res, max(ode_residuals(w, 1024)))
+    ok = worst_period <= 1e-12 and worst_res <= 1e-14
     _check("criterion 01 family construction",
            ok, f"period residual {worst_period:.2e}, ode residual {worst_res:.2e}")
 
@@ -114,27 +113,30 @@ def _representative_waves():
 
 
 def test_criterion_04_spectral_verdicts():
+    # each kernel mode carries its kernel's parity and is its kernel to
+    # within sin 1e-6 (see `kernel_residual`)
     ok, detail = True, "L3 and L4 structure on 9 waves at N=512"
     for w in _representative_waves():
         p = w.params
         nu = p.nu
         xs = np.arange(512) * p.L / 512
 
-        spec4 = periodic_spectrum(hill_L4(w, 512), 3)
+        op4 = hill_L4(w, 512)
+        spec4 = periodic_spectrum(op4, 3)
         lam4 = spec4.eigenvalues
-        phi = w.phi(xs)
-        a4 = abs(np.dot(spec4.eigenvectors[0], phi)) / np.linalg.norm(phi)
+        r4 = kernel_residual(op4, w.phi(xs))
         ok4 = (abs(lam4[0]) <= 1e-6 * nu and lam4[1] - lam4[0] > 1e-3 * nu
-               and a4 >= 0.9999)
+               and spec4.even[0] and r4 <= 1e-6 * lam4[1])
 
-        spec3 = periodic_spectrum(hill_L3(w, 512), 3)
+        op3 = hill_L3(w, 512)
+        spec3 = periodic_spectrum(op3, 3)
         lam3 = spec3.eigenvalues
-        dphi = w.phi_prime(xs)
-        a3 = abs(np.dot(spec3.eigenvectors[1], dphi)) / np.linalg.norm(dphi)
+        r3 = kernel_residual(op3, w.phi_prime(xs))
         ok3 = (lam3[0] < -1e-4 * nu and abs(lam3[1]) <= 1e-6 * nu
                and lam3[2] > 1e-4 * nu
                and lam3[1] - lam3[0] > 1e-3 * nu
-               and lam3[2] - lam3[1] > 1e-3 * nu and a3 >= 0.9999)
+               and lam3[2] - lam3[1] > 1e-3 * nu
+               and not spec3.even[1] and r3 <= 1e-6 * min(-lam3[0], lam3[2]))
         if not (ok3 and ok4):
             ok = False
             detail = f"failed at L={p.L:.4g}, c={p.c}, nu={nu:.4g}"

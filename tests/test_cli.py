@@ -114,6 +114,27 @@ def test_end_time_that_rounds_to_no_step_is_domain_error(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("stability", ("--delta", "0", "--seed", "0")), ("evolve", ()), ("spectrum", ())],
+    ids=["stability", "evolve", "spectrum"])
+def test_wave_whose_carrier_is_not_periodic_is_not_evolved(capsys, command, flags):
+    # c L / (4 pi) = 0.6: the sampled u jumps at the wrap, where phi = eta2 != 0,
+    # so a run would not start from a solution; the spectra do not use the
+    # carrier and run with the construction warning
+    wave = ("--L", "25.132741228718345", "--c", "0.3", "--nu", "0.05")
+    if command != "spectrum":
+        flags = (*flags, "--t-end", "2")
+    with pytest.warns(UserWarning, match=r"cL/\(4\*pi\)=0.6 is not an integer"):
+        code, out, err = run(capsys, command, *wave, *flags)
+    if command == "spectrum":
+        assert code == 0
+        return
+    assert code == 2
+    assert err == ("domain error: cannot evolve: cL/(4*pi)=0.6 is not an integer: "
+                   "the envelope carrier e^(icx/2) is not L-periodic\n")
+    assert out == ""
+
+
 def test_stability_at_N512_does_not_blow_up(capsys):
     # plain RK4 at the default dt is past its k_max^2 dt bound here
     code, _, err = run(capsys, "stability", "--L", "25.132741228718345",
