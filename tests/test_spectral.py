@@ -2,7 +2,9 @@
 diagonalization oracle."""
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +31,26 @@ from zakwave.wavefamily import build_wave, nu_threshold, solitary_wave
 from conftest import kernel_residual
 
 
+ROOT = Path(__file__).resolve().parents[1]
 SPECTRUM = {"periodic": periodic_spectrum, "semiperiodic": semiperiodic_spectrum}
 
 
 def _grid(L, N):
     return np.arange(N) * L / N
+
+
+@pytest.mark.parametrize("name", ["grid_matrix", "distance_at_shift"])
+def test_no_program_path_calls(name):
+    # the dense grid matrix and the distance at a given shift are the tests'
+    # oracles: every solve runs in mode space, and a save measures its
+    # distances in the shift search itself
+    files = sorted((ROOT / "src" / "zakwave").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert ROOT / "src" / "zakwave" / "spectral.py" in files
+    offenders = [f"{path.relative_to(ROOT)}:{i}"
+                 for path in files
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(rf"\b{name}\s*\(", line) and f"def {name}(" not in line]
+    assert offenders == []
 
 
 # --------------------------------------------------------------------------
