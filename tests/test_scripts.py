@@ -1,6 +1,7 @@
 """Smoke tests of the study scripts under scripts/."""
 
 import csv
+import hashlib
 import math
 import os
 import runpy
@@ -47,3 +48,16 @@ def test_perturbation_scaling_matches_serial_scalar_runs(tmp_path, monkeypatch):
         rec = stability_experiment(wave, delta=float(delta), t_end=0.05, seed=0, N=64)
         expected.append([f"{delta:.17g}", f"{float(np.max(rec.rho_nu)):.17g}"])
     assert rows == expected
+
+
+# SHA-256 of the CSV of `perturbation_scaling.py --t-end 0.2 --N 128
+# --seed 3`: five deltas stepped as one (3, 5, 128) batch, 125 steps
+PERTURBATION_SCALING_SHA256 = \
+    "09089219c3ff8c00d198938ac013298ea6da886beb586258d3ed0245da0f32c4"
+
+
+def test_perturbation_scaling_batched_csv_is_pinned(tmp_path, monkeypatch):
+    out = tmp_path / "scaling.csv"
+    _run_script("perturbation_scaling.py", monkeypatch, "--t-end", "0.2",
+                "--N", "128", "--seed", "3", "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PERTURBATION_SCALING_SHA256
