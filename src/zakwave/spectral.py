@@ -10,18 +10,21 @@ decay geometrically and a few hundred modes give the low eigenvalues to
 rounding level.  Every potential built here is even about x = 0, so the
 matrix is real symmetric, and it commutes with the reflection that
 pairs kappa with -kappa (Magnus & Winkler, Hill's Equation, 1966).
-Its Toeplitz part is copied from strided windows of the coefficients,
-with no index matrix, and the parity blocks below are built from its slices.
+Each operator transforms its potential and checks its evenness once
+(`HillOperator.cosine_coefficients`); every matrix is then copied from
+strided windows of those coefficients, with no index matrix.
 
-`_parity_blocks` splits the matrix at any M into a cosine block and a
-sine block, each real symmetric Toeplitz-plus-Hankel: n = 0..M and
-n = 1..M for periodic spectra, the pairs n <-> -1 - n with n = 0..M-1 for
-semi-periodic ones.  The L3/L4 spectra and constrained minima split it at
-M = (N - 1) // 4.  A spectrum solves each block for its eigenvalues alone
-(`eigvalsh`) and labels every mode even or odd by its block.  The Lame
-band edges are returned from the whole matrix at M = N/8, unsplit, so a
-closed gap keeps lo < hi, and checked against the blocks at M = N/4 on 2N
-samples (see `instability_intervals`).
+`HillOperator.parity_blocks` builds the cosine block and the sine block
+of the matrix at any M straight from the coefficient windows, without the
+whole matrix: each is real symmetric Toeplitz-plus-Hankel, on n = 0..M
+and n = 1..M for periodic spectra, on the pairs n <-> -1 - n with
+n = 0..M-1 for semi-periodic ones.  The L3/L4 spectra and constrained
+minima split at M = (N - 1) // 4.  A spectrum solves each block for its
+eigenvalues alone (`eigvalsh`) and labels every mode even or odd by its
+block.  The Lame band edges are returned from the whole matrix at M = N/8,
+unsplit, so a closed gap keeps lo < hi, and checked against the blocks at
+M = N/4 on 2N samples; the potential is sampled once, on the 2N grid (see
+`instability_intervals`).
 `grid_matrix`, the dense N-point grid operator, is the reference these
 solves are tested against.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +58,7 @@ __all__ = [
 ]
 
 
-# Largest relative odd part of a potential that `fourier_matrix` accepts.
+# Largest relative odd part of a potential that `cosine_coefficients` accepts.
 # A dnoidal potential's odd part is its period residual: dn repeats after
 # 2K sqrt(2 alpha) / eta1, which matches L to the 1e-12 tolerance of
 # `solve_eta2`, and a steep profile magnifies that.  L3/L4 potentials reach
@@ -64,9 +68,20 @@ __all__ = [
 EVEN_TOL = 1e-8
 
 
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first row r, as a fresh C-contiguous array."""
+    # with c = (r[s-1], ..., r[1], r[0], ..., r[s-1]), row i is
+    # r[|i - j|] = c[s-1 - i + j]: the windows of c, last first
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((r[:0:-1], r)), r.size)
+    return windows[::-1].copy()
+
+
 @dataclass(frozen=True)
 class HillOperator:
-    """Discretized -d^2/dx^2 + shift + V(x) on a uniform N-point grid of [0, L)."""
+    """Discretized -d^2/dx^2 + shift + V(x) on a uniform N-point grid of [0, L).
+
+    `potential` is read-only, so the cached `cosine_coefficients` stay its own.
+    """
 
     L: float
     shift: float
@@ -80,21 +95,14 @@ class HillOperator:
         theta = 0.0 if boundary == "periodic" else math.pi
         return (2.0 * math.pi * n + theta) / self.L
 
-    def fourier_matrix(self, boundary: str, M: int) -> np.ndarray:
-        """Real symmetric Floquet-Fourier-Hill matrix on the modes n = -M..M.
+    @cached_property
+    def cosine_coefficients(self) -> np.ndarray:
+        """vhat = rfft(V).real / N, read-only, after the evenness check.
 
-        Entry (n, m) is vhat[|n - m|], with vhat = rfft(V).real / N, and
-        the diagonal adds kappa_n^2 + shift.  The Toeplitz part is one copy
-        of the strided windows of (vhat[2M], ..., vhat[1], vhat[0], ...,
-        vhat[2M]), so the result is a fresh C-contiguous array the caller
-        may write.  M < N/4, so every difference |n - m| <= 2M is below the
-        Nyquist index and no coefficient aliases.  The potential must be
-        even about x = 0, V[-j mod N] = V[j]: its odd part, max |Im rfft(V)|
-        / max |rfft(V)|, above EVEN_TOL raises DomainError, since dropping
-        it would move the eigenvalues.
+        The potential must be even about x = 0, V[-j mod N] = V[j]: its odd
+        part, max |Im rfft(V)| / max |rfft(V)|, above EVEN_TOL raises
+        DomainError, since dropping it would move the eigenvalues.
         """
-        if not 1 <= M < self.N / 4:
-            raise DomainError(f"M={M} modes need 1 <= M < N/4 = {self.N / 4}")
         vhat = np.fft.rfft(self.potential) / self.N
         odd = np.max(np.abs(vhat.imag))
         if odd > EVEN_TOL * np.max(np.abs(vhat)):
@@ -102,14 +110,65 @@ class HillOperator:
                 f"evenness check failed: the potential's odd part max|Im vhat| = "
                 f"{odd:.3g} exceeds {EVEN_TOL:g} x max|vhat|; the Hill solves need "
                 f"V(-x) = V(x) about x = 0")
-        # with c = (vhat[2M], ..., vhat[1], vhat[0], ..., vhat[2M]), row i
-        # is vhat[|i - j|] = c[2M - i + j]: the windows of c, last first
-        r = vhat.real[:2 * M + 1]
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((r[:0:-1], r)), r.size)
-        mat = windows[::-1].copy()
+        r = vhat.real
+        r.flags.writeable = False
+        return r
+
+    def _coefficients(self, M: int) -> np.ndarray:
+        """vhat[0..2M], the coefficients a matrix on the modes |n| <= M reads.
+
+        M < N/4, so every difference |n - m| <= 2M is below the Nyquist
+        index and no coefficient aliases.
+        """
+        if not 1 <= M < self.N / 4:
+            raise DomainError(f"M={M} modes need 1 <= M < N/4 = {self.N / 4}")
+        return self.cosine_coefficients[:2 * M + 1]
+
+    def _diagonal(self, boundary: str, n: np.ndarray) -> np.ndarray:
+        """kappa_n^2 + shift, the diagonal the potential's coefficients sit on."""
+        return self._wavenumbers(boundary, n) ** 2 + self.shift
+
+    def fourier_matrix(self, boundary: str, M: int) -> np.ndarray:
+        """Real symmetric Floquet-Fourier-Hill matrix on the modes n = -M..M.
+
+        Entry (n, m) is vhat[|n - m|], with vhat the `cosine_coefficients`,
+        and the diagonal adds kappa_n^2 + shift.  The result is a fresh
+        C-contiguous array the caller may write.  1 <= M < N/4, or
+        DomainError.
+        """
+        r = self._coefficients(M)
+        mat = _toeplitz(r)
         n = np.arange(-M, M + 1)
-        mat[np.diag_indices(n.size)] += self._wavenumbers(boundary, n) ** 2 + self.shift
+        mat[np.diag_indices(n.size)] += self._diagonal(boundary, n)
         return mat
+
+    def parity_blocks(self, boundary: str, M: int):
+        """Cosine and sine blocks of `fourier_matrix(boundary, M)`, built
+        from the coefficient windows without the whole matrix.
+
+        Periodic: n = 0..M and n = 1..M, entries vhat[|a - b|] +/- vhat[a + b],
+        with row and column 0 of the cosine block scaled by 1/sqrt(2).
+        Semi-periodic: n = 0..M-1 paired with -1 - n, vhat[|a - b|] +/- vhat[a + b + 1];
+        the mode n = M, whose partner -1 - M lies outside the window, is dropped.
+        Each block is bitwise the sum or difference of the two slices of the
+        whole matrix that hold its Toeplitz and Hankel parts.
+        """
+        r = self._coefficients(M)
+        periodic = boundary == "periodic"
+        size = M + 1 if periodic else M
+        toeplitz = _toeplitz(r[:size])
+        toeplitz[np.diag_indices(size)] += self._diagonal(boundary, np.arange(size))
+        # row a of the Hankel part is vhat[a + b + offset], b = 0..size-1
+        offset = 0 if periodic else 1
+        hankel = np.lib.stride_tricks.sliding_window_view(r[offset:offset + 2 * size - 1], size)
+        if not periodic:
+            return toeplitz + hankel, toeplitz - hankel
+        even = toeplitz + hankel
+        # n = 0 is its own partner, so its Hankel entry carries the diagonal too
+        even[0, 0] = 2.0 * toeplitz[0, 0]
+        even[0] /= math.sqrt(2.0)
+        even[:, 0] /= math.sqrt(2.0)
+        return even, toeplitz[1:, 1:] - hankel[1:, 1:]
 
     def grid_matrix(self, boundary: str = "periodic") -> np.ndarray:
         """Real-symmetric grid matrix B F B^H, with F the Galerkin matrix on
@@ -163,12 +222,14 @@ def _check_period(L: float) -> None:
 def assemble(L: float, shift: float, potential_samples, N: int) -> HillOperator:
     """Hill operator on the samples V(j L / N), j = 0..N-1.
 
-    Every spectrum of it is solved on `fourier_matrix`, which needs V even
-    about x = 0 (V[-j mod N] = V[j]) to a relative odd part of EVEN_TOL =
-    1e-8 and raises DomainError naming the evenness check otherwise.
+    The operator keeps a read-only copy of the samples.  Every spectrum of
+    it is solved on its `cosine_coefficients`, which need V even about
+    x = 0 (V[-j mod N] = V[j]) to a relative odd part of EVEN_TOL = 1e-8
+    and raise DomainError naming the evenness check otherwise.
     """
     _check_period(L)
-    samples = np.asarray(potential_samples, dtype=float)
+    samples = np.array(potential_samples, dtype=float)
+    samples.flags.writeable = False
     if N % 2 != 0 or N < 32:
         raise DomainError(f"N={N} must be even and >= 32")
     if samples.shape != (N,):
@@ -202,27 +263,9 @@ def lame_operator(m: Modulus, N: int = 512) -> HillOperator:
     return assemble(2.0 * K, 0.0, 6.0 * m.k**2 * sn**2, N)
 
 
-def _parity_blocks(F: np.ndarray, boundary: str):
-    """Cosine and sine blocks of F = fourier_matrix(boundary, M), M read from its shape.
-
-    Periodic: n = 0..M and n = 1..M, entries vhat[|a - b|] +/- vhat[a + b],
-    with row and column 0 of the cosine block scaled by 1/sqrt(2).
-    Semi-periodic: n = 0..M-1 paired with -1 - n, vhat[|a - b|] +/- vhat[a + b + 1];
-    the mode n = M, whose partner -1 - M lies outside the window, is dropped.
-    """
-    M = F.shape[0] // 2
-    if boundary == "periodic":
-        even = F[M:, M:] + F[M:, M::-1]
-        even[0] /= math.sqrt(2.0)
-        even[:, 0] /= math.sqrt(2.0)
-        return even, F[M + 1:, M + 1:] - F[M + 1:, M - 1::-1]
-    toeplitz, hankel = F[M:-1, M:-1], F[M:-1, M - 1::-1]
-    return toeplitz + hankel, toeplitz - hankel
-
-
 def _blocks(op: HillOperator, boundary: str):
     """Cosine and sine blocks of op's matrix on the L3/L4 window M = (N - 1) // 4."""
-    return _parity_blocks(op.fourier_matrix(boundary, (op.N - 1) // 4), boundary)
+    return op.parity_blocks(boundary, (op.N - 1) // 4)
 
 
 def _block_eigenvalues(even: np.ndarray, odd: np.ndarray):
@@ -291,12 +334,14 @@ def instability_intervals(m: Modulus, N: int = 512):
     solved whole with `eigvalsh`: the potential 6 k^2 sn^2 is even, but a
     closed gap pairs an even with an odd edge, and the parity blocks can
     return those bitwise equal, where the one solve keeps lo < hi.  The
-    check solves the M = N/4 matrix on the 2N-sample potential as its
+    check solves the M = N/4 problem on the 2N-sample potential as its
     cosine and sine blocks, each about half the size; only their values
     near the returned ones matter there, not their order within a closed
-    gap.  Every finite edge and every gap width must agree between the two
-    to 1e-7 relative (floor 1), or AccuracyError names the first that does
-    not.
+    gap.  The potential is sampled once, on the 2N grid: the N grid's
+    points are its even-indexed ones, bitwise, so the N-sample operator
+    takes every other sample.  Every finite edge and every gap width must
+    agree between the two to 1e-7 relative (floor 1), or AccuracyError
+    names the first that does not.
     """
     if N < 512:
         raise DomainError("instability_intervals needs N >= 512")
@@ -304,15 +349,16 @@ def instability_intervals(m: Modulus, N: int = 512):
     # lambda0, then the lower and upper end of each finite gap
     picks = [("lambda", 0)] + [("mu" if j % 2 == 0 else "lambda", i)
                                for j in range(n_gaps - 1) for i in (j, j + 1)]
+    boundaries = (("lambda", "periodic"), ("mu", "semiperiodic"))
 
-    def band_edges(res, solve):
-        op = lame_operator(m, res)
-        ev = {name: solve(op.fourier_matrix(b, res // 8), b)
-              for name, b in (("lambda", "periodic"), ("mu", "semiperiodic"))}
+    def band_edges(solve):
+        ev = {name: solve(b) for name, b in boundaries}
         return np.array([ev[name][i] for name, i in picks])
 
-    edges = band_edges(N, lambda F, _b: np.linalg.eigvalsh(F))
-    check = band_edges(2 * N, lambda F, b: _block_eigenvalues(*_parity_blocks(F, b))[0])
+    fine = lame_operator(m, 2 * N)
+    coarse = assemble(fine.L, fine.shift, fine.potential[::2], N)
+    edges = band_edges(lambda b: np.linalg.eigvalsh(coarse.fourier_matrix(b, N // 8)))
+    check = band_edges(lambda b: _block_eigenvalues(*fine.parity_blocks(b, N // 4))[0])
     for (name, i), e, e2 in zip(picks, edges, check):
         if abs(e - e2) > 1e-7 * max(1.0, abs(e2)):
             raise AccuracyError(f"band edge {name}{i} not converged under M doubling: {e} vs {e2}")

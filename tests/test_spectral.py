@@ -296,6 +296,47 @@ def test_parity_blocks_match_the_full_window(wave_std, operator, boundary):
     assert np.all(np.abs(got - ref) <= tol)
 
 
+def _sliced_parity_blocks(F, boundary):
+    """Cosine and sine blocks as sums and differences of slices of the whole
+    matrix F = fourier_matrix(boundary, M): the Toeplitz part on modes n >= 0
+    and the Hankel part on their partners -n (periodic) or -1 - n."""
+    M = F.shape[0] // 2
+    if boundary == "periodic":
+        even = F[M:, M:] + F[M:, M::-1]
+        even[0] /= math.sqrt(2.0)
+        even[:, 0] /= math.sqrt(2.0)
+        return even, F[M + 1:, M + 1:] - F[M + 1:, M - 1::-1]
+    toeplitz, hankel = F[M:-1, M:-1], F[M:-1, M - 1::-1]
+    return toeplitz + hankel, toeplitz - hankel
+
+
+@pytest.mark.parametrize("N", [64, 200, 512, 1024])
+@pytest.mark.parametrize("operator", ["L3", "L4", "lame"])
+def test_parity_blocks_are_bitwise_the_whole_matrix_slices(wave_std, operator, N):
+    builders = {"L3": hill_L3, "L4": hill_L4,
+                "lame": lambda w, n: lame_operator(Modulus.from_k(0.8), n)}
+    op = builders[operator](wave_std, N)
+    for boundary in ("periodic", "semiperiodic"):
+        for M in range(1, (N - 1) // 4 + 1):
+            ref = _sliced_parity_blocks(op.fourier_matrix(boundary, M), boundary)
+            got = op.parity_blocks(boundary, M)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref)), (boundary, M)
+    with pytest.raises(DomainError):
+        op.parity_blocks("periodic", (N - 1) // 4 + 1)
+
+
+def test_assemble_keeps_a_read_only_copy(wave_std):
+    L, nu, N = wave_std.params.L, wave_std.params.nu, 256
+    V = 3.0 * wave_std.psi(_grid(L, N))
+    ref = periodic_spectrum(assemble(L, nu, V.copy(), N), 8).eigenvalues
+    op = assemble(L, nu, V, N)
+    V += 1.0
+    assert np.array_equal(periodic_spectrum(op, 8).eigenvalues, ref)
+    for array in (op.potential, op.cosine_coefficients):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 @pytest.mark.parametrize("k", [0.3, 0.5, 0.8])
 def test_lame_parity_blocks_hold_the_closed_form(k):
     # the cosine and sine blocks give rho0 < rho1 < rho2 closer than the
@@ -562,33 +603,32 @@ def test_instability_intervals_raises_when_M_doubling_disagrees(monkeypatch):
 
 
 def test_instability_intervals_check_every_edge(monkeypatch):
-    # a constant offset in the 2N potential moves every band edge and no gap
-    # width, so only the edge check sees it, at lambda0 first
-    lame = spectral.lame_operator
+    # a constant offset in the N-sample potential moves every returned band
+    # edge and no gap width, so only the edge check sees it, at lambda0
+    # first; the fault goes in at the N-point operator's assemble call,
+    # since that operator reads its samples from the 2N sampling
+    build = spectral.assemble
 
-    def offset(m, N=512):
-        op = lame(m, N)
-        return op if N == 512 else assemble(op.L, op.shift, op.potential + 1e-3, N)
+    def offset(L, shift, samples, N):
+        return build(L, shift, samples + 1e-3 if N == 512 else samples, N)
 
-    monkeypatch.setattr(spectral, "lame_operator", offset)
+    monkeypatch.setattr(spectral, "assemble", offset)
     with pytest.raises(AccuracyError, match="band edge lambda0"):
         instability_intervals(Modulus.from_k(0.5))
 
 
 def test_instability_intervals_check_every_gap_width(monkeypatch):
-    # a harmonic of amplitude 1e-6 at n = 4 in the 2N potential opens the
-    # closed gap (lambda3, lambda4) by about 1e-6 while each of its edges
+    # a harmonic of amplitude 1e-6 at n = 4 in the N-sample potential opens
+    # the closed gap (lambda3, lambda4) by about 1e-6 while each of its edges
     # moves by about 5e-7, inside the 1e-7 * |edge| = 1.5e-6 edge bound
-    lame = spectral.lame_operator
+    build = spectral.assemble
 
-    def opened(m, N=512):
-        op = lame(m, N)
+    def opened(L, shift, samples, N):
         if N == 512:
-            return op
-        xs = _grid(op.L, N)
-        return assemble(op.L, op.shift, op.potential + 1e-6 * np.cos(2.0 * math.pi * 4 * xs / op.L), N)
+            samples = samples + 1e-6 * np.cos(2.0 * math.pi * 4 * _grid(L, N) / L)
+        return build(L, shift, samples, N)
 
-    monkeypatch.setattr(spectral, "lame_operator", opened)
+    monkeypatch.setattr(spectral, "assemble", opened)
     with pytest.raises(AccuracyError, match="gap widths not converged"):
         instability_intervals(Modulus.from_k(0.5))
 
@@ -597,6 +637,15 @@ def test_instability_intervals_check_every_gap_width(monkeypatch):
 # nu = 0.2 and nu over [0.04, 0.12]
 LAME_SET = MODULI + [build_wave(8.0 * math.pi, 0.5, nu).modulus.k
                      for nu in [*np.linspace(0.04, 0.12, 9), 0.2]]
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_lame_samples_at_N_are_every_other_sample_at_2N(N):
+    # instability_intervals samples the potential once, on the 2N grid
+    for k in LAME_SET:
+        m = Modulus.from_k(k)
+        assert np.array_equal(lame_operator(m, N).potential,
+                              lame_operator(m, 2 * N).potential[::2]), k
 
 
 @pytest.mark.parametrize("k", LAME_SET)
@@ -618,8 +667,9 @@ def test_lame_check_blocks_match_the_whole_matrix_at_2N(k, boundary):
     # the check solves the M = 128 matrix as its parity blocks; the
     # semi-periodic split drops the unpaired mode n = M, far above the 24
     # lowest eigenvalues
-    F = lame_operator(Modulus.from_k(k), 1024).fourier_matrix(boundary, 128)
-    blocks = spectral._parity_blocks(F, boundary)
+    op = lame_operator(Modulus.from_k(k), 1024)
+    F = op.fourier_matrix(boundary, 128)
+    blocks = op.parity_blocks(boundary, 128)
     assert sum(b.shape[0] for b in blocks) == F.shape[0] - (boundary == "semiperiodic")
     got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:24]
     assert np.max(np.abs(got - np.linalg.eigvalsh(F)[:24])) <= 1e-10

@@ -3,8 +3,9 @@ fail when one of those names is deleted or renamed, when a step stops
 doing the 16 transforms the benchmark's self-test expects, when the
 modulated-distance search transforms shifted fields again, when the
 save points transform the fixed reference fields again, when a batch
-runs its save-point diagnostics member by member, or when the solitary
-run's profiles stop going through the traced Jacobi evaluators."""
+runs its save-point diagnostics member by member, when the solitary
+run's profiles stop going through the traced Jacobi evaluators, or when a
+Hill solve assembles more than the matrices it solves whole."""
 
 import os
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 from zakwave import dynamics
 from zakwave.dynamics import Evolver, wave_state
+from zakwave.elliptic import Modulus
+from zakwave.spectral import hill_L3, instability_intervals, periodic_spectrum
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks"))
@@ -109,3 +112,26 @@ def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
     for m in metrics:
         assert m["dynamics.save.calls"] == 5
     assert metrics[1]["dynamics.fft.per_save"] == metrics[0]["dynamics.fft.per_save"]
+
+
+def _spans(tr, first, name):
+    """(size, dim) of each span called `name` recorded from index `first` on."""
+    return [(tr.size[i], tr.dim[i]) for i in range(first, len(tr.names))
+            if tr.names[i] == name]
+
+
+def test_traced_lame_intervals_sample_once_and_assemble_two_matrices(tracer):
+    # the N = 512 potential is every other sample of the 2N one, and only the
+    # two whole M = N/8 matrices are assembled; the 2N check is solved as
+    # parity blocks built from the coefficient windows
+    first = len(tracer.names)
+    instability_intervals(Modulus.from_k(0.5), 512)
+    assert [size for size, _ in _spans(tracer, first, "elliptic.jacobi")] == [1024]
+    assert [dim for _, dim in _spans(tracer, first, "spectral.matrix")] == [129, 129]
+
+
+def test_traced_hill_spectrum_assembles_no_whole_matrix(tracer, wave_std):
+    op = hill_L3(wave_std, 512)
+    first = len(tracer.names)
+    periodic_spectrum(op, 8)
+    assert _spans(tracer, first, "spectral.matrix") == []
