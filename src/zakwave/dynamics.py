@@ -305,24 +305,29 @@ def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
 
 
-def invariants(s: FieldState, grid: GridSpec) -> ZakInvariants:
-    """E, Q1 (vV form), Q2 by spectral quadrature.  With the Parseval modes
-    w of u, integral |u_x|^2 = sum k^2 |w|^2 and integral Im(u_x conj u) =
-    sum k |w|^2."""
+def _invariants_q1_uv(s: FieldState, grid: GridSpec):
+    """(ZakInvariants, q1_paper_form) of s from one transform of u.  With
+    the Parseval modes w of u, integral |u_x|^2 = sum k^2 |w|^2 and
+    integral Im(u_x conj u) = sum k |w|^2."""
     k, w2 = grid.k, np.abs(_modes(s.u, grid)) ** 2
+    kw2 = np.sum(k * w2, axis=-1)
     e = np.sum(k * k * w2, axis=-1) + 0.5 * grid.integrate(
         s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2)
-    q1 = grid.integrate(s.v * s.V) + np.sum(k * w2, axis=-1)
+    q1 = grid.integrate(s.v * s.V) + kw2
     q2 = grid.integrate(np.abs(s.u) ** 2)
-    return ZakInvariants(E=e, Q1=q1, Q2=q2)
+    return ZakInvariants(E=e, Q1=q1, Q2=q2), grid.integrate(s.u * s.V) + kw2
+
+
+def invariants(s: FieldState, grid: GridSpec) -> ZakInvariants:
+    """E, Q1 (vV form), Q2 by spectral quadrature."""
+    return _invariants_q1_uv(s, grid)[0]
 
 
 def q1_paper_form(s: FieldState, grid: GridSpec):
     """The momentum functional with the u V integrand as printed in the
     source formula; complex-valued for generic u and not conserved
     (diagnostic only, see the vV form in `invariants`)."""
-    w2 = np.abs(_modes(s.u, grid)) ** 2
-    return grid.integrate(s.u * s.V) + np.sum(grid.k * w2, axis=-1)
+    return _invariants_q1_uv(s, grid)[1]
 
 
 def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
@@ -418,8 +423,57 @@ def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
                      math.sqrt(wave.params.nu) * _modes(wave.phi(xi), grid)))
 
 
-def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0,
-                     *, profile_modes: np.ndarray | None = None):
+# Each distance has two parts: its rows, which correlate the fields with
+# their references into (B, N) rows for `_best_shift`, and its pick, which
+# measures the candidate shifts the search returns for those rows and keeps
+# the nearest.  The public calls run one search per call; `evolve` stacks
+# the orbit and acoustic rows of a save into one search.
+
+def _orbit_rows(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
+                b: np.ndarray):
+    """The stacked modes a = (w', sqrt(nu) w) of the gauged (B, N) fields u
+    and their correlation rows g with the profile modes b = (phi',
+    sqrt(nu) phi): G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
+    c = wave.params.c
+    # the gauge's phase seam tracks the antipode of x = c t instead of
+    # cutting through the profile; for carrier-periodic waves (c L multiple
+    # of 4 pi) the wrap changes nothing
+    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
+    a = np.stack((1j * grid.k * w, math.sqrt(wave.params.nu) * w), axis=-2)
+    return a, np.sum(a * np.conj(b), axis=-2)
+
+
+def _orbit_pick(a, b, g, ys, e, grid: GridSpec):
+    """(rho, y_star, theta_star) per member from the (3, B) candidate
+    shifts ys of the rows g and their phases e, with the closed-form
+    optimal phase theta*(y) = -arg G(y)."""
+    theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
+    # direct evaluation of Omega: well conditioned when the distance is
+    # tiny, unlike the expanded const - 2|G| form
+    omega_val = _distance_sq(a, b, (np.exp(1j * theta)[..., None] * e)[..., None, :])
+    omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
+    return np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star
+
+
+def _acoustic_rows(fm: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """Correlation rows fm conj(gm) of real fields with their references,
+    from the Parseval modes of both."""
+    corr = fm * np.conj(gm)
+    # the real correlation C(y) is at least -sum |corr_n|, so after this
+    # offset the largest |C| is the largest C, not an anti-correlation
+    corr[:, 0] += np.abs(corr).sum(axis=-1)
+    return corr
+
+
+def _acoustic_pick(fm, gm, ys, e, grid: GridSpec):
+    """(distance, shift) per row from the (3, B) candidate shifts ys and
+    their phases e."""
+    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], e[..., None, :])
+    d_sq, y = _nearest(d_sq, ys)
+    return np.sqrt(d_sq), np.mod(y, grid.L)
+
+
+def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0):
     """nu-weighted modulated distance of u to the wave orbit, with c and nu
     read from the wave (dnoidal or solitary).
 
@@ -427,48 +481,22 @@ def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float 
     profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
     and refines the best shift to sub-grid accuracy (parabolic vertex, then
     Newton).  Returns (rho, y_star, theta_star): floats for a (N,) field,
-    (B,) arrays for a (B, N) batch of fields.  `profile_modes`, if given,
-    holds the stacked Parseval modes (phi', sqrt(nu) phi) of the profile,
-    so a caller that measures many fields against one wave samples and
-    transforms the profile once.
+    (B,) arrays for a (B, N) batch of fields.
     """
-    c, nu = wave.params.c, wave.params.nu
-    k = grid.k
-    # the gauge's phase seam tracks the antipode of x = c t instead of
-    # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing
-    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * np.atleast_2d(u), grid)
-    # stacked modes a = (w', sqrt(nu) w) and b = (phi', sqrt(nu) phi), and
-    # g with G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>
-    a = np.stack((1j * k * w, math.sqrt(nu) * w), axis=-2)
-    b = _profile_modes(wave, grid) if profile_modes is None else profile_modes
-    g = np.sum(a * np.conj(b), axis=-2)
-    ys, e = _best_shift(g, k, grid)
-    theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
-    # direct evaluation of Omega: well conditioned when the distance is
-    # tiny, unlike the expanded const - 2|G| form
-    omega_val = _distance_sq(a, b, (np.exp(1j * theta)[..., None] * e)[..., None, :])
-    omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
-    return _per_member(np.ndim(u), np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star)
+    b = _profile_modes(wave, grid)
+    a, g = _orbit_rows(np.atleast_2d(u), wave, grid, t, b)
+    picked = _orbit_pick(a, b, g, *_best_shift(g, grid.k, grid), grid)
+    return _per_member(np.ndim(u), *picked)
 
 
-def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec, *,
-                   g_modes: np.ndarray | None = None):
+def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples f of
     shape (N,) (floats) or (B, N) ((B,) arrays), and g of shape (N,) or
-    one reference row per row of f; `g_modes`, if given, is
-    `_modes(g, grid)` computed once by the caller."""
-    fm = _modes(np.atleast_2d(f), grid)
-    gm = _modes(g, grid) if g_modes is None else g_modes
-    k = grid.k
-    corr = fm * np.conj(gm)
-    # the real correlation C(y) is at least -sum |corr_n|, so after this
-    # offset the largest |C| is the largest C, not an anti-correlation
-    corr[:, 0] += np.abs(corr).sum(axis=-1)
-    ys, e = _best_shift(corr, k, grid)
-    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], e[..., None, :])
-    d_sq, y = _nearest(d_sq, ys)
-    return _per_member(np.ndim(f), np.sqrt(d_sq), np.mod(y, grid.L))
+    one reference row per row of f."""
+    fm, gm = _modes(np.atleast_2d(f), grid), _modes(g, grid)
+    corr = _acoustic_rows(fm, gm)
+    picked = _acoustic_pick(fm, gm, *_best_shift(corr, grid.k, grid), grid)
+    return _per_member(np.ndim(f), *picked)
 
 
 def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
@@ -568,16 +596,21 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     bitwise its last `times` entry, beside the t_end asked for.
 
     The members share the wave, grid, dt, t_end and start time, and step
-    together as one (3, B, N) spectral state.  At each save every
-    diagnostic is called once on the (B, N) fields of the whole batch (one
-    `shift_distance` on the stacked (2B, N) v and V), and the save's values,
-    keyed by series name, form one (n_series, B) row in `_SERIES` order;
-    the rows stack into one (n_saves, B) array per series after the last
-    step, and record i holds column i.
-    Steps and diagnostics act row by row, so a member's record is bitwise
-    the one it gets in a batch of one.  `metadata[i]` seeds the metadata of
-    record i.  Blow-up is judged per member, against that member's initial
-    sup norm, and names the first failing member.
+    together as one (3, B, N) spectral state.  Each save works on the
+    (B, N) fields of the whole batch in 5 transforms: the stacked inverse
+    transform of the state, one transform of u for E, Q1, Q2 and q1_uv,
+    one of the gauged u for the B orbit rows of `orbital_distance`, one of
+    v and V stacked for the 2B acoustic rows of `shift_distance`, and the
+    correlation inverse transform of one shift search on the orbit rows
+    stacked over the acoustic rows.  The save's values, keyed by series
+    name, form one (n_series, B) row in `_SERIES` order; the rows stack
+    into one (n_saves, B) array per series after the last step, and record
+    i holds column i.  Steps and diagnostics act row by row, so a member's
+    record is bitwise the one it gets in a batch of one, and each series is
+    bitwise what `invariants`, `q1_paper_form`, `orbital_distance` and
+    `shift_distance` return on the saved state.  `metadata[i]` seeds the
+    metadata of record i.  Blow-up is judged per member, against that
+    member's initial sup norm, and names the first failing member.
 
     A dnoidal wave is a DomainError unless grid.L is a whole number of its
     periods L (grid.L/L an integer >= 1 to 1e-9) and its carrier e^(icx/2)
@@ -617,24 +650,28 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
 
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
-    # reference modes, transformed once for every save of every member; v
-    # and V meet their references psi and varphi in one shift search, rows
-    # 0..B-1 for v and B..2B-1 for V
-    acoustic_ref = np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0)
-    acoustic_m = _modes(acoustic_ref, grid)
+    # reference modes, transformed once for every save of every member: the
+    # profile's for the orbit rows, and psi's and varphi's for the acoustic
+    # rows 0..B-1 (v) and B..2B-1 (V); a save's shift search takes the orbit
+    # rows first
     profile_m = _profile_modes(wave, grid)
+    acoustic_m = _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)
+    orbit, acoustic = slice(None, n_members), slice(n_members, None)
 
     # one row per save: the initial state, every save_stride-th step and the last step
     rows = []
 
     def record(s):
-        inv = invariants(s, grid)
-        rho, ys, th = orbital_distance(s.u, wave, grid, t=s.t, profile_modes=profile_m)
-        dist, _ = shift_distance(np.concatenate((s.v, s.V)), acoustic_ref, grid,
-                                 g_modes=acoustic_m)
-        q1p = q1_paper_form(s, grid)
+        inv, q1p = _invariants_q1_uv(s, grid)
+        a, g = _orbit_rows(s.u, wave, grid, s.t, profile_m)
+        fm = _modes(np.concatenate((s.v, s.V)), grid)
+        # one shift search on the B orbit rows stacked over the 2B acoustic rows
+        ys, e = _best_shift(np.concatenate((g, _acoustic_rows(fm, acoustic_m))),
+                            grid.k, grid)
+        rho, y_star, th = _orbit_pick(a, profile_m, g, ys[:, orbit], e[:, orbit], grid)
+        dist, _ = _acoustic_pick(fm, acoustic_m, ys[:, acoustic], e[:, acoustic], grid)
         row = dict(times=np.full(n_members, s.t), E=inv.E, Q1=inv.Q1, Q2=inv.Q2,
-                   B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=rho, y_star=ys,
+                   B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=rho, y_star=y_star,
                    theta_star=th, dist_v=dist[:n_members], dist_V=dist[n_members:],
                    q1_uv_real=q1p.real, q1_uv_imag=q1p.imag)
         rows.append(np.stack([row[name] for name in _SERIES]))

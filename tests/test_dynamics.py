@@ -30,7 +30,7 @@ from zakwave.dynamics import (
 from zakwave.errors import BlowUpError, DomainError
 from zakwave.wavefamily import mass_integral, solitary_wave
 
-from conftest import STD_L, relative_drift
+from conftest import SOL_C, SOL_OMEGA, STD_L, relative_drift
 
 
 def _zero_state(grid):
@@ -602,26 +602,45 @@ def test_experiment_determinism(wave_std):
     assert np.array_equal(a.E, b.E)
 
 
-def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std):
-    # evolve transforms the reference fields and the profile once per run;
-    # every save must still read what the direct calls give on that state
-    rng = np.random.default_rng(4)
-    base = wave_state(wave_std, grid_std)
-    s0 = FieldState(0.0, base.v + 1e-2 * band_limited_perturbation(rng, grid_std, 8),
-                    base.V + 1e-2 * band_limited_perturbation(rng, grid_std, 8, zero_mean=True),
-                    base.u + 1e-2 * band_limited_perturbation(rng, grid_std, 8,
-                                                              complex_field=True))
+def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std,
+                                                            monkeypatch):
+    # a save runs one shift search on the B orbit rows stacked over the 2B
+    # acoustic rows and reads E, Q1, Q2 and q1_uv from one transform of u;
+    # every member must still read bitwise what the public calls give on its
+    # own state: a dnoidal batch with the exact wave (scale 0) between two
+    # perturbed members, and a perturbed solitary wave on its box
+    searched = []
+    best_shift = dynamics._best_shift
+
+    def spy(g, k, grid):
+        searched.append(g.shape)
+        return best_shift(g, k, grid)
+
+    solitary = solitary_wave(SOL_OMEGA, SOL_C)
+    sol_grid = GridSpec(L=80.0 / math.sqrt(-4.0 * SOL_OMEGA - SOL_C**2), N=256)
     dt, n = 1e-3, 3
-    rec = evolve([s0], wave_std, grid_std, dt, n * dt)[0]
-    for row, s in ((0, _advance(s0, dt, grid_std, 0)), (-1, _advance(s0, dt, grid_std, n))):
-        inv = invariants(s, grid_std)
-        assert (rec.E[row], rec.Q1[row], rec.Q2[row]) == (inv.E, inv.Q1, inv.Q2)
-        q1p = q1_paper_form(s, grid_std)
-        assert (rec.q1_uv_real[row], rec.q1_uv_imag[row]) == (q1p.real, q1p.imag)
-        rho, y, th = orbital_distance(s.u, wave_std, grid_std, t=s.t)
-        assert (rec.rho_nu[row], rec.y_star[row], rec.theta_star[row]) == (rho, y, th)
-        assert rec.dist_v[row] == shift_distance(s.v, base.v, grid_std)[0]
-        assert rec.dist_V[row] == shift_distance(s.V, base.V, grid_std)[0]
+    for wave, grid, scales in ((wave_std, grid_std, [1e-2, 0.0, 3e-2]),
+                               (solitary, sol_grid, [1e-2])):
+        batch = _perturbed_batch(wave, grid, np.random.default_rng(4), scales)
+        states0 = [FieldState(0.0, batch.v[i], batch.V[i], batch.u[i])
+                   for i in range(len(scales))]
+        searched.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_best_shift", spy)
+            records = evolve(states0, wave, grid, dt, n * dt)
+        assert searched == [(3 * len(scales), grid.N)] * (n + 1)
+        ref = wave_state(wave, grid)
+        for s0, rec in zip(states0, records):
+            for row in range(n + 1):
+                s = _advance(s0, dt, grid, row)
+                inv = invariants(s, grid)
+                assert (rec.E[row], rec.Q1[row], rec.Q2[row]) == (inv.E, inv.Q1, inv.Q2)
+                q1p = q1_paper_form(s, grid)
+                assert (rec.q1_uv_real[row], rec.q1_uv_imag[row]) == (q1p.real, q1p.imag)
+                rho, y, th = orbital_distance(s.u, wave, grid, t=s.t)
+                assert (rec.rho_nu[row], rec.y_star[row], rec.theta_star[row]) == (rho, y, th)
+                assert rec.dist_v[row] == shift_distance(s.v, ref.v, grid)[0]
+                assert rec.dist_V[row] == shift_distance(s.V, ref.V, grid)[0]
 
 
 def test_evolve_saves_every_save_every_steps_and_the_last(wave_c0):

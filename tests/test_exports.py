@@ -47,6 +47,9 @@ NO_PROGRAM_CALLER = {
     "period_of": "oracle of T(eta2) = L for the Newton solve; the tracer "
                  "wraps it (ROADMAP item 8 moves it into the tests)",
     "distance_at_shift": "oracle of the save's shift search; the tracer wraps it (item 8)",
+    "orbital_distance": "oracle of the fused save; the tracer wraps it (ROADMAP item 8)",
+    "shift_distance": "oracle of the fused save; the tracer wraps it (ROADMAP item 8)",
+    "q1_paper_form": "oracle of the fused save; the tracer wraps it (ROADMAP item 8)",
     "HillOperator.grid_matrix": "dense grid reference of the mode-space solves; "
                                 "the tracer wraps it (item 8)",
     "mass_derivative": "paper check dM/dnu > 0, waiting on the certified sweep (item 7)",

@@ -1,9 +1,9 @@
 """The traced benchmark run wraps zakwave names from outside; these checks
 fail when one of those names is deleted or renamed, when a step stops
 doing the 16 transforms the benchmark's self-test expects, when the
-modulated-distance search transforms shifted fields again, when the
-save points transform the fixed reference fields again, when a batch
-runs its save-point diagnostics member by member, when the solitary
+modulated-distance search transforms shifted fields again, when a save
+makes more than its five transforms or transforms the fixed reference
+fields again, when a batch saves member by member, when the solitary
 run's profiles stop going through the traced Jacobi evaluators, or when a
 Hill solve assembles more than the matrices it solves whole."""
 
@@ -80,38 +80,63 @@ def test_traced_solitary_run_evaluates_jacobi_profiles(tracer):
     assert "elliptic.jacobi" in inside
 
 
-def test_traced_evolve_transforms_reference_fields_once(tracer, wave_std, grid_std):
-    # psi, varphi and the profile modes (phi', sqrt(nu) phi) are computed
-    # once per run: a save transforms only the saved fields, so neither the
-    # transforms per save nor the profile samplings grow with the saves
-    s0 = wave_state(wave_std, grid_std)
-    profiles = []
-    for t_end in (4e-3, 8e-3):  # 5 and 9 saves
-        first = len(tracer.names)
-        dynamics.evolve([s0], wave_std, grid_std, 1e-3, t_end)
-        profiles.append(tracer.names[first:].count("wavefamily.profile"))
+def _evolve_transforms(tr, first):
+    """(transforms, saves) of the spans from index `first` on: the fft spans
+    under dynamics.evolve outside dynamics.step and dynamics.to_spectral,
+    and the dynamics.to_physical spans directly under dynamics.evolve, one
+    per saved row."""
+    names, parent = tr.names, tr.parent
+    in_evolve = spans._flags_below(tr, lambda i: names[i] == "dynamics.evolve")
+    stepping = spans._flags_below(
+        tr, lambda i: names[i] in ("dynamics.step", "dynamics.to_spectral"))
+    ffts = sum(1 for i in range(first, len(names))
+               if names[i] == "fft" and in_evolve[i] and not stepping[i])
+    saves = sum(1 for i in range(first, len(names)) if names[i] == "dynamics.to_physical"
+                and parent[i] >= 0 and names[parent[i]] == "dynamics.evolve")
+    return ffts, saves
+
+
+def _save_transforms(s0s, wave, grid):
+    """Transforms per save and per run of `evolve` from the states s0s, from
+    two traced runs of 5 and 9 saves, and the profile samplings of each run."""
+    tr = spans.Tracer()
+    tr.install()
+    try:
+        counts, profiles = [], []
+        for t_end in (4e-3, 8e-3):  # 5 and 9 saves
+            first = len(tr.names)
+            dynamics.evolve(s0s, wave, grid, 1e-3, t_end)
+            counts.append(_evolve_transforms(tr, first))
+            profiles.append(tr.names[first:].count("wavefamily.profile"))
+    finally:
+        tr.uninstall()
+    (ffts5, saves5), (ffts9, saves9) = counts
+    assert (saves5, saves9) == (5, 9)
+    per_save = (ffts9 - ffts5) / (saves9 - saves5)
+    return per_save, ffts5 - per_save * saves5, profiles
+
+
+def test_traced_evolve_transforms_reference_fields_once(wave_std, grid_std):
+    # a save transforms only the saved fields: one stacked ifft in
+    # to_physical, one fft of u for E, Q1, Q2 and q1_uv, one of the gauged
+    # u, one of the stacked v and V, and one correlation ifft in the one
+    # shift search.  The reference fields are transformed once per run:
+    # functional_B's u, the profile's phi' and phi, and psi and varphi
+    # stacked; so neither the transforms per save nor the profile samplings
+    # grow with the saves
+    per_save, per_run, profiles = _save_transforms(
+        [wave_state(wave_std, grid_std)], wave_std, grid_std)
+    assert (per_save, per_run) == (5, 4)
     assert profiles[0] == profiles[1]
-    # one stacked ifft in to_physical, one fft of u each in invariants and
-    # q1_paper_form, and a field fft plus a correlation ifft each in
-    # orbital_distance and shift_distance
-    assert spans.layer_metrics(tracer)["dynamics.fft.per_save"] == 7
 
 
 def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
-    # a batch of five calls each diagnostic once per save, as one member does
+    # a batch of five makes the transforms of a save once per save point,
+    # as one member does
     s0 = wave_state(wave_std, grid_std)
-    metrics = []
     for n_members in (1, 5):
-        tr = spans.Tracer()
-        tr.install()
-        try:
-            dynamics.evolve([s0] * n_members, wave_std, grid_std, 1e-3, 4e-3)
-        finally:
-            tr.uninstall()
-        metrics.append(spans.layer_metrics(tr))
-    for m in metrics:
-        assert m["dynamics.save.calls"] == 5
-    assert metrics[1]["dynamics.fft.per_save"] == metrics[0]["dynamics.fft.per_save"]
+        per_save, per_run, _ = _save_transforms([s0] * n_members, wave_std, grid_std)
+        assert (per_save, per_run) == (5, 4), n_members
 
 
 def _spans(tr, first, name):
