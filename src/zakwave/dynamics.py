@@ -299,10 +299,12 @@ class _Workspace:
 # transform, product and quadrature acts along the last axis, so row i of
 # a batched result is bitwise what the (N,) call on member i returns.
 
-def _modes(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _modes(f: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Fourier modes of f scaled so that sum |f_n|^2 = integral |f|^2
-    (Parseval); then <f(.+y), g> = sum f_n conj(g_n) e^{i k_n y}."""
-    return np.fft.fft(f) * (math.sqrt(grid.L) / grid.N)
+    (Parseval), written into `out` (a new array if None); then
+    <f(.+y), g> = sum f_n conj(g_n) e^{i k_n y}."""
+    m = np.fft.fft(f, out=out)
+    return np.multiply(m, math.sqrt(grid.L) / grid.N, out=m)
 
 
 def _invariants_q1_uv(s: FieldState, grid: GridSpec):
@@ -340,12 +342,67 @@ def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
 # --------------------------------------------------------------------------
 # modulated distance
 
-def _distance_sq(fm: np.ndarray, gm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+class _SaveWorkspace:
+    """Scratch arrays of the save diagnostics for `n_orbit` orbit rows over
+    `n_acoustic` acoustic rows of N points, R = n_orbit + n_acoustic.
+
+    `rows` (R, N) holds the correlation rows of the fields with their
+    references, orbit rows first; `orbit_modes` (2, n_orbit, N) holds the
+    stacked modes of the gauged u, and `acoustic_modes` (n_acoustic, N)
+    those of v and V.  `_best_shift` searches `rows` in `derivs` (C, C',
+    C'' of each row) and `terms` (their products with the phases), each
+    (3, R, N), and returns its phases in `phases`.  The orbit and acoustic
+    picks form their distances in the (product, operand, real) triples
+    `orbit`, of shape (3, n_orbit, 2, N), and `acoustic`, (3, n_acoustic,
+    1, N); the picks run one after the other, so the two triples are views
+    of one set of buffers.
+
+    `evolve` builds one workspace for its run and reuses it at every save,
+    so a save allocates only transients, none larger than a few of its
+    (B, N) fields; `orbital_distance` and `shift_distance` build one per
+    call.  The rows, modes and phases the helpers return are views of the
+    workspace, so the next save overwrites them.
+
+    A numpy 2.4 ufunc whose operands differ in shape or are not contiguous
+    allocates iteration buffers of up to the output's size (capped at
+    `np.getbufsize()` elements per operand), with or without `out=`, while
+    `np.copyto` broadcasts and casts without one.  So each product of the
+    search and the picks first spreads its operands over these buffers
+    with `copyto` and then multiplies same-shape contiguous arrays, in the
+    operand order of the expression it replaces (see `Evolver` on why that
+    order matters); every result is bitwise that expression's.
+    """
+
+    def __init__(self, grid: GridSpec, n_orbit: int, n_acoustic: int = 0):
+        N = grid.N
+        rows = n_orbit + n_acoustic
+        self.rows = np.empty((rows, N), dtype=complex)
+        self.orbit_modes = np.empty((2, n_orbit, N), dtype=complex)
+        self.acoustic_modes = np.empty((n_acoustic, N), dtype=complex)
+        self.derivs = np.empty((3, rows, N), dtype=complex)
+        self.terms = np.empty_like(self.derivs)
+        self.phases = np.empty_like(self.derivs)
+        size = 3 * max(2 * n_orbit, n_acoustic) * N
+        flat = (np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size))
+        self.orbit, self.acoustic = (
+            tuple(a[:math.prod(shape)].reshape(shape) for a in flat)
+            for shape in ((3, n_orbit, 2, N), (3, n_acoustic, 1, N)))
+
+
+def _distance_sq(fm: np.ndarray, gm: np.ndarray, out) -> np.ndarray:
     """||f(.+y) - g||^2 = sum |phase f_n - g_n|^2 with phase = e^{i k_n y}
-    (times any constant phase).  The last two axes of the broadcast
-    product hold one member's stacked rows, summed as one flat row."""
-    d = np.abs(phase * fm - gm) ** 2
-    return np.sum(d.reshape(d.shape[:-2] + (-1,)), axis=-1)
+    (times any constant phase), for phases already spread over the
+    product `d` of `out` = (d, operand, real), each of the broadcast
+    product's shape.  The last two axes of the product hold one member's
+    stacked rows, summed as one flat row."""
+    d, operand, d_re = out
+    np.copyto(operand, fm)
+    np.multiply(d, operand, out=d)
+    np.copyto(operand, gm)
+    np.subtract(d, operand, out=d)
+    np.abs(d, out=d_re)
+    np.square(d_re, out=d_re)
+    return np.sum(d_re.reshape(d_re.shape[:-2] + (-1,)), axis=-1)
 
 
 def _peak(f: np.ndarray):
@@ -361,32 +418,54 @@ def _peak(f: np.ndarray):
     return m, delta.clip(-0.5, 0.5)
 
 
-def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec):
+def _phases(ik: np.ndarray, y: np.ndarray, out: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """e^{i k y} for each of the shifts y, one row each, written into
+    `out`; `spread` is scratch of the same shape."""
+    np.copyto(out, ik)
+    np.copyto(spread, y[:, None])
+    np.multiply(out, spread, out=out)
+    return np.exp(out, out=out)
+
+
+def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec,
+                ws: _SaveWorkspace | None = None):
     """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}, for each
     row of the (B, N) array g: the best grid shift, the parabolic vertex
     through its neighbours, and Newton on |C|^2 started from the vertex.
-    Returns the (3, B) shifts and their (3, B, N) phases e^{i k y}.
+    Returns the (3, B) shifts and their (3, B, N) phases e^{i k y}, which
+    are `ws.phases`; `ws` must hold B search rows, and None builds one.
 
     Newton runs on every row at once; a row leaves the iteration where a
     lone run would break (non-negative curvature, a step longer than dx,
     or convergence), and none takes more than 8 steps.
     """
+    if ws is None:
+        ws = _SaveWorkspace(grid, len(g))
     dx = grid.L / grid.N
     tol = 1e-14 * max(1.0, grid.L)
     # at the grid shifts y = j dx, C is N ifft(g); the scale leaves the
-    # peak and the vertex unchanged
-    m, delta = _peak(np.abs(np.fft.ifft(g)))
+    # peak and the vertex unchanged.  The transform waits in the Newton
+    # phases, which overwrite it.
+    e_grid, e_vertex, e_newton = ws.phases
+    m, delta = _peak(np.abs(np.fft.ifft(g, out=e_newton)))
     vertex = (m + delta) * dx
     y = vertex.copy()
     ik = 1j * k
-    e = e_vertex = np.exp(ik * vertex[:, None])
-    derivs = np.stack((g, ik * g, -k * k * g), axis=1)  # C, C', C'' share e^{iky}
+    derivs, terms = ws.derivs, ws.terms
+    e = _phases(ik, vertex, e_vertex, terms[0])
+    # C, C', C'' share e^{iky}: the rows g, ik g and -k^2 g
+    np.copyto(derivs[0], g)
+    np.copyto(derivs[1], ik)
+    np.multiply(derivs[1], g, out=derivs[1])
+    np.copyto(derivs[2], -k * k)
+    np.multiply(derivs[2], g, out=derivs[2])
     active = np.ones(y.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(8):
             if i:
-                e = np.exp(ik * y[:, None])
-            C, Cp, Cpp = (derivs * e[:, None]).sum(axis=-1).T
+                e = _phases(ik, y, e_newton, terms[0])
+            np.copyto(terms, e)
+            C, Cp, Cpp = np.multiply(derivs, terms, out=terms).sum(axis=-1)
             Cc = C.conj()
             # curv is half the curvature of |C|^2, and y - step the Newton update
             curv = np.abs(Cp) ** 2 + (Cc * Cpp).real
@@ -398,8 +477,9 @@ def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec):
             if not active.any():
                 break
     grid_shift = m * dx
-    return (np.stack((grid_shift, vertex, y)),
-            np.stack((np.exp(ik * grid_shift[:, None]), e_vertex, np.exp(ik * y[:, None]))))
+    _phases(ik, grid_shift, e_grid, terms[0])
+    _phases(ik, y, e_newton, terms[0])
+    return np.stack((grid_shift, vertex, y)), ws.phases
 
 
 def _nearest(d_sq: np.ndarray, *values: np.ndarray):
@@ -430,45 +510,61 @@ def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
 # the orbit and acoustic rows of a save into one search.
 
 def _orbit_rows(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
-                b: np.ndarray):
-    """The stacked modes a = (w', sqrt(nu) w) of the gauged (B, N) fields u
-    and their correlation rows g with the profile modes b = (phi',
-    sqrt(nu) phi): G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
+                b_conj: np.ndarray, ws: _SaveWorkspace):
+    """The stacked modes a = (w', sqrt(nu) w) of the gauged (B, N) fields u,
+    a (B, 2, N) view of `ws.orbit_modes`, and their correlation rows g with
+    the profile modes b = (phi', sqrt(nu) phi), the first B of `ws.rows`:
+    G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
     c = wave.params.c
+    a, g = ws.orbit_modes, ws.rows[:len(u)]
     # the gauge's phase seam tracks the antipode of x = c t instead of
     # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing
-    w = _modes(np.exp(-0.5j * c * _wrapped(grid, c * t)) * u, grid)
-    a = np.stack((1j * grid.k * w, math.sqrt(wave.params.nu) * w), axis=-2)
-    return a, np.sum(a * np.conj(b), axis=-2)
+    # of 4 pi) the wrap changes nothing.  The gauged fields wait in g.
+    np.multiply(np.exp(-0.5j * c * _wrapped(grid, c * t)), u, out=g)
+    w = _modes(g, grid, out=a[1])
+    np.multiply(1j * grid.k, w, out=a[0])
+    np.multiply(math.sqrt(wave.params.nu), w, out=a[1])
+    # g = a0 conj(b0) + a1 conj(b1), the sum over the stacked rows
+    np.multiply(a[0], b_conj[0], out=g)
+    g += a[1] * b_conj[1]
+    return a.transpose(1, 0, 2), g
 
 
-def _orbit_pick(a, b, g, ys, e, grid: GridSpec):
+def _orbit_pick(a, b, g, ys, e, grid: GridSpec, ws: _SaveWorkspace):
     """(rho, y_star, theta_star) per member from the (3, B) candidate
     shifts ys of the rows g and their phases e, with the closed-form
-    optimal phase theta*(y) = -arg G(y)."""
-    theta = np.mod(-np.angle(np.sum(g * e, axis=-1)), 2.0 * math.pi)
+    optimal phase theta*(y) = -arg G(y); the distances are formed in
+    `ws.orbit`, over both stacked rows."""
+    d, operand, _ = ws.orbit
+    np.copyto(d, e[..., None, :])
+    # G(y) = sum g e^{iky}, formed on both stacked rows and read from one
+    np.copyto(operand, g[:, None])
+    G = np.multiply(operand, d, out=operand)[..., 0, :].sum(axis=-1)
+    theta = np.mod(-np.angle(G), 2.0 * math.pi)
+    np.copyto(operand, np.exp(1j * theta)[..., None, None])
+    np.multiply(operand, d, out=d)
     # direct evaluation of Omega: well conditioned when the distance is
     # tiny, unlike the expanded const - 2|G| form
-    omega_val = _distance_sq(a, b, (np.exp(1j * theta)[..., None] * e)[..., None, :])
+    omega_val = _distance_sq(a, b, ws.orbit)
     omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
     return np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star
 
 
-def _acoustic_rows(fm: np.ndarray, gm: np.ndarray) -> np.ndarray:
+def _acoustic_rows(fm: np.ndarray, gm_conj: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """Correlation rows fm conj(gm) of real fields with their references,
-    from the Parseval modes of both."""
-    corr = fm * np.conj(gm)
+    from the Parseval modes of both, written into and returned as `corr`."""
+    np.multiply(fm, gm_conj, out=corr)
     # the real correlation C(y) is at least -sum |corr_n|, so after this
     # offset the largest |C| is the largest C, not an anti-correlation
     corr[:, 0] += np.abs(corr).sum(axis=-1)
     return corr
 
 
-def _acoustic_pick(fm, gm, ys, e, grid: GridSpec):
+def _acoustic_pick(fm, gm, ys, e, grid: GridSpec, ws: _SaveWorkspace):
     """(distance, shift) per row from the (3, B) candidate shifts ys and
-    their phases e."""
-    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], e[..., None, :])
+    their phases e, the distances formed in `ws.acoustic`."""
+    np.copyto(ws.acoustic[0], e[..., None, :])
+    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], ws.acoustic)
     d_sq, y = _nearest(d_sq, ys)
     return np.sqrt(d_sq), np.mod(y, grid.L)
 
@@ -483,9 +579,11 @@ def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float 
     Newton).  Returns (rho, y_star, theta_star): floats for a (N,) field,
     (B,) arrays for a (B, N) batch of fields.
     """
+    rows = np.atleast_2d(u)
     b = _profile_modes(wave, grid)
-    a, g = _orbit_rows(np.atleast_2d(u), wave, grid, t, b)
-    picked = _orbit_pick(a, b, g, *_best_shift(g, grid.k, grid), grid)
+    ws = _SaveWorkspace(grid, len(rows))
+    a, g = _orbit_rows(rows, wave, grid, t, np.conj(b), ws)
+    picked = _orbit_pick(a, b, g, *_best_shift(g, grid.k, grid, ws), grid, ws)
     return _per_member(np.ndim(u), *picked)
 
 
@@ -493,16 +591,19 @@ def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     """(min_y ||f(.+y) - g||_L2, argmin y) for real periodic samples f of
     shape (N,) (floats) or (B, N) ((B,) arrays), and g of shape (N,) or
     one reference row per row of f."""
-    fm, gm = _modes(np.atleast_2d(f), grid), _modes(g, grid)
-    corr = _acoustic_rows(fm, gm)
-    picked = _acoustic_pick(fm, gm, *_best_shift(corr, grid.k, grid), grid)
+    rows = np.atleast_2d(f)
+    ws = _SaveWorkspace(grid, 0, len(rows))
+    fm, gm = _modes(rows, grid, out=ws.acoustic_modes), _modes(g, grid)
+    corr = _acoustic_rows(fm, np.conj(gm), ws.rows)
+    picked = _acoustic_pick(fm, gm, *_best_shift(corr, grid.k, grid, ws), grid, ws)
     return _per_member(np.ndim(f), *picked)
 
 
 def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
     """||f(.+y) - g||_L2 for (N,) samples."""
-    return math.sqrt(_distance_sq(_modes(f, grid)[None], _modes(g, grid),
-                                  np.exp(1j * grid.k * y)))
+    out = (np.exp(1j * grid.k * y)[None], np.empty((1, grid.N), dtype=complex),
+           np.empty((1, grid.N)))
+    return math.sqrt(_distance_sq(_modes(f, grid)[None], _modes(g, grid), out))
 
 
 # --------------------------------------------------------------------------
@@ -602,15 +703,18 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     one of the gauged u for the B orbit rows of `orbital_distance`, one of
     v and V stacked for the 2B acoustic rows of `shift_distance`, and the
     correlation inverse transform of one shift search on the orbit rows
-    stacked over the acoustic rows.  The save's values, keyed by series
-    name, form one (n_series, B) row in `_SERIES` order; the rows stack
-    into one (n_saves, B) array per series after the last step, and record
-    i holds column i.  Steps and diagnostics act row by row, so a member's
-    record is bitwise the one it gets in a batch of one, and each series is
-    bitwise what `invariants`, `q1_paper_form`, `orbital_distance` and
-    `shift_distance` return on the saved state.  `metadata[i]` seeds the
-    metadata of record i.  Blow-up is judged per member, against that
-    member's initial sup norm, and names the first failing member.
+    stacked over the acoustic rows.  The correlation rows, the modes, the
+    search and the distance picks run in one `_SaveWorkspace` built per
+    run for its 3B search rows, so a save allocates none of their arrays.
+    The save's values, keyed by series name, form one (n_series, B) row in
+    `_SERIES` order; the rows stack into one (n_saves, B) array per series
+    after the last step, and record i holds column i.  Steps and
+    diagnostics act row by row, so a member's record is bitwise the one it
+    gets in a batch of one, and each series is bitwise what `invariants`,
+    `q1_paper_form`, `orbital_distance` and `shift_distance` return on the
+    saved state.  `metadata[i]` seeds the metadata of record i.  Blow-up
+    is judged per member, against that member's initial sup norm, and
+    names the first failing member.
 
     A dnoidal wave is a DomainError unless grid.L is a whole number of its
     periods L (grid.L/L an integer >= 1 to 1e-9) and its carrier e^(icx/2)
@@ -656,20 +760,22 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     # rows first
     profile_m = _profile_modes(wave, grid)
     acoustic_m = _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)
+    profile_conj, acoustic_conj = np.conj(profile_m), np.conj(acoustic_m)
     orbit, acoustic = slice(None, n_members), slice(n_members, None)
+    ws = _SaveWorkspace(grid, n_members, 2 * n_members)
 
     # one row per save: the initial state, every save_stride-th step and the last step
     rows = []
 
     def record(s):
         inv, q1p = _invariants_q1_uv(s, grid)
-        a, g = _orbit_rows(s.u, wave, grid, s.t, profile_m)
-        fm = _modes(np.concatenate((s.v, s.V)), grid)
+        a, g = _orbit_rows(s.u, wave, grid, s.t, profile_conj, ws)
+        fm = _modes(np.concatenate((s.v, s.V)), grid, out=ws.acoustic_modes)
+        _acoustic_rows(fm, acoustic_conj, ws.rows[acoustic])
         # one shift search on the B orbit rows stacked over the 2B acoustic rows
-        ys, e = _best_shift(np.concatenate((g, _acoustic_rows(fm, acoustic_m))),
-                            grid.k, grid)
-        rho, y_star, th = _orbit_pick(a, profile_m, g, ys[:, orbit], e[:, orbit], grid)
-        dist, _ = _acoustic_pick(fm, acoustic_m, ys[:, acoustic], e[:, acoustic], grid)
+        ys, e = _best_shift(ws.rows, grid.k, grid, ws)
+        rho, y_star, th = _orbit_pick(a, profile_m, g, ys[:, orbit], e[:, orbit], grid, ws)
+        dist, _ = _acoustic_pick(fm, acoustic_m, ys[:, acoustic], e[:, acoustic], grid, ws)
         row = dict(times=np.full(n_members, s.t), E=inv.E, Q1=inv.Q1, Q2=inv.Q2,
                    B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=rho, y_star=y_star,
                    theta_star=th, dist_v=dist[:n_members], dist_V=dist[n_members:],

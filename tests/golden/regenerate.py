@@ -73,6 +73,8 @@ CASES = [
                           "--format", "json"], "L3.json", True),
     ("spectrum_L4", ["spectrum", "--operator", "L4", *STD_WAVE, "--N", "256", "--format", "json"],
      "L4.json", True),
+    ("spectrum_L4_csv", ["spectrum", "--operator", "L4", *STD_WAVE, "--N", "256"],
+     "L4.csv", True),
     ("spectrum_lame", ["spectrum", "--operator", "lame", *STD_WAVE, "--format", "json"],
      "lame.json", True),
     ("spectrum_lame_csv", ["spectrum", "--operator", "lame", *STD_WAVE], "lame.csv", True),

@@ -612,9 +612,9 @@ def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std,
     searched = []
     best_shift = dynamics._best_shift
 
-    def spy(g, k, grid):
+    def spy(g, k, grid, ws):
         searched.append(g.shape)
-        return best_shift(g, k, grid)
+        return best_shift(g, k, grid, ws)
 
     solitary = solitary_wave(SOL_OMEGA, SOL_C)
     sol_grid = GridSpec(L=80.0 / math.sqrt(-4.0 * SOL_OMEGA - SOL_C**2), N=256)
