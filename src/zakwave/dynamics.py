@@ -346,63 +346,42 @@ class _SaveWorkspace:
     """Scratch arrays of the save diagnostics for `n_orbit` orbit rows over
     `n_acoustic` acoustic rows of N points, R = n_orbit + n_acoustic.
 
-    `rows` (R, N) holds the correlation rows of the fields with their
-    references, orbit rows first; `orbit_modes` (2, n_orbit, N) holds the
-    stacked modes of the gauged u, and `acoustic_modes` (n_acoustic, N)
-    those of v and V.  `_best_shift` searches `rows` in `derivs` (C, C',
-    C'' of each row) and `terms` (their products with the phases), each
-    (3, R, N), and returns its phases in `phases`.  The orbit and acoustic
-    picks form their distances in the (product, operand, real) triples
-    `orbit`, of shape (3, n_orbit, 2, N), and `acoustic`, (3, n_acoustic,
-    1, N); the picks run one after the other, so the two triples are views
-    of one set of buffers.
+    Every row is one distance problem: the least ||e^{i theta} e^{iky} M - R||
+    over shifts y of the weighted Parseval modes M of a field to those of
+    its reference R.  The orbit rows weight both by sqrt(k^2 + nu), so
+    their distance, rho_nu, is the l2 distance of sqrt(k^2 + nu)-weighted
+    modes, and minimize over the phase theta too; the acoustic rows of v
+    and V weight by 1 and keep theta = 0.  `modes` (R, N) holds M, orbit
+    rows first, and `rows` (R, N) the correlation rows M conj(R).
+    `_best_shift` searches `rows` in `derivs` (C, C', C'' of each row) and
+    `terms` (their products with the phases), each (3, R, N), and returns
+    its phases in `phases`; `_pick` then forms every candidate distance in
+    `terms` and `derivs`, with its squares in the real (3, R, N) `real`.
 
     `evolve` builds one workspace for its run and reuses it at every save,
     so a save allocates only transients, none larger than a few of its
     (B, N) fields; `orbital_distance` and `shift_distance` build one per
-    call.  The rows, modes and phases the helpers return are views of the
-    workspace, so the next save overwrites them.
+    call.  The phases `_best_shift` returns are `phases`, so the next save
+    overwrites them; the pick returns fresh arrays.
 
     A numpy 2.4 ufunc whose operands differ in shape or are not contiguous
     allocates iteration buffers of up to the output's size (capped at
     `np.getbufsize()` elements per operand), with or without `out=`, while
     `np.copyto` broadcasts and casts without one.  So each product of the
-    search and the picks first spreads its operands over these buffers
+    search and the pick first spreads its operands over these buffers
     with `copyto` and then multiplies same-shape contiguous arrays, in the
     operand order of the expression it replaces (see `Evolver` on why that
     order matters); every result is bitwise that expression's.
     """
 
     def __init__(self, grid: GridSpec, n_orbit: int, n_acoustic: int = 0):
-        N = grid.N
-        rows = n_orbit + n_acoustic
-        self.rows = np.empty((rows, N), dtype=complex)
-        self.orbit_modes = np.empty((2, n_orbit, N), dtype=complex)
-        self.acoustic_modes = np.empty((n_acoustic, N), dtype=complex)
-        self.derivs = np.empty((3, rows, N), dtype=complex)
+        shape = (n_orbit + n_acoustic, grid.N)
+        self.rows = np.empty(shape, dtype=complex)
+        self.modes = np.empty_like(self.rows)
+        self.derivs = np.empty((3,) + shape, dtype=complex)
         self.terms = np.empty_like(self.derivs)
         self.phases = np.empty_like(self.derivs)
-        size = 3 * max(2 * n_orbit, n_acoustic) * N
-        flat = (np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size))
-        self.orbit, self.acoustic = (
-            tuple(a[:math.prod(shape)].reshape(shape) for a in flat)
-            for shape in ((3, n_orbit, 2, N), (3, n_acoustic, 1, N)))
-
-
-def _distance_sq(fm: np.ndarray, gm: np.ndarray, out) -> np.ndarray:
-    """||f(.+y) - g||^2 = sum |phase f_n - g_n|^2 with phase = e^{i k_n y}
-    (times any constant phase), for phases already spread over the
-    product `d` of `out` = (d, operand, real), each of the broadcast
-    product's shape.  The last two axes of the product hold one member's
-    stacked rows, summed as one flat row."""
-    d, operand, d_re = out
-    np.copyto(operand, fm)
-    np.multiply(d, operand, out=d)
-    np.copyto(operand, gm)
-    np.subtract(d, operand, out=d)
-    np.abs(d, out=d_re)
-    np.square(d_re, out=d_re)
-    return np.sum(d_re.reshape(d_re.shape[:-2] + (-1,)), axis=-1)
+        self.real = np.empty((3,) + shape)
 
 
 def _peak(f: np.ndarray):
@@ -427,20 +406,18 @@ def _phases(ik: np.ndarray, y: np.ndarray, out: np.ndarray, spread: np.ndarray) 
     return np.exp(out, out=out)
 
 
-def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec,
-                ws: _SaveWorkspace | None = None):
+def _best_shift(g: np.ndarray, grid: GridSpec, ws: _SaveWorkspace):
     """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}, for each
     row of the (B, N) array g: the best grid shift, the parabolic vertex
     through its neighbours, and Newton on |C|^2 started from the vertex.
     Returns the (3, B) shifts and their (3, B, N) phases e^{i k y}, which
-    are `ws.phases`; `ws` must hold B search rows, and None builds one.
+    are `ws.phases`; `ws` must hold B search rows.
 
     Newton runs on every row at once; a row leaves the iteration where a
     lone run would break (non-negative curvature, a step longer than dx,
     or convergence), and none takes more than 8 steps.
     """
-    if ws is None:
-        ws = _SaveWorkspace(grid, len(g))
+    k = grid.k
     dx = grid.L / grid.N
     tol = 1e-14 * max(1.0, grid.L)
     # at the grid shifts y = j dx, C is N ifft(g); the scale leaves the
@@ -482,11 +459,47 @@ def _best_shift(g: np.ndarray, k: np.ndarray, grid: GridSpec,
     return np.stack((grid_shift, vertex, y)), ws.phases
 
 
-def _nearest(d_sq: np.ndarray, *values: np.ndarray):
-    """For each member (column) of the (3, B) candidate distances d_sq, the
-    least one and the matching entries of `values`, the first on ties."""
+def _pick(ref: np.ndarray, n_orbit: int, ys: np.ndarray, e: np.ndarray, grid: GridSpec,
+          ws: _SaveWorkspace):
+    """(distance, shift, theta) per row of `ws.modes` M to its row of the
+    (R, N) reference modes `ref`: the least ||e^{i theta} e^{iky} M - ref||
+    over the (3, R) candidate shifts ys and their phases e, the first on
+    ties.  The first n_orbit rows take the closed-form optimal phase
+    theta*(y) = -arg G(y), G(y) = sum g e^{iky} over their correlation rows
+    g in `ws.rows`; the others keep theta = 0.  The phases e are rotated in
+    place."""
+    d, operand, d_re = ws.terms, ws.derivs, ws.real
+    # G is formed on every row in one product; only the orbit rows read it
+    np.copyto(d, ws.rows)
+    G = np.multiply(d, e, out=d).sum(axis=-1)
+    theta = np.mod(-np.angle(G), 2.0 * math.pi)
+    theta[:, n_orbit:] = 0.0
+    np.copyto(d, np.exp(1j * theta)[..., None])
+    np.multiply(d, e, out=e)
+    # direct evaluation: well conditioned when the distance is tiny, unlike
+    # the expanded |M|^2 + |ref|^2 - 2|G| form
+    np.copyto(d, ws.modes)
+    np.multiply(e, d, out=d)
+    np.copyto(operand, ref)
+    np.subtract(d, operand, out=d)
+    np.abs(d, out=d_re)
+    np.square(d_re, out=d_re)
+    d_sq = d_re.sum(axis=-1)
     pick = (np.argmin(d_sq, axis=0), np.arange(d_sq.shape[1]))
-    return tuple(v[pick] for v in (d_sq,) + values)
+    return np.sqrt(d_sq[pick]), np.mod(ys[pick], grid.L), theta[pick]
+
+
+def _distances(ref: np.ndarray, ref_conj: np.ndarray, n_orbit: int, grid: GridSpec,
+               ws: _SaveWorkspace):
+    """`_pick` on every row of `ws.modes` at once: the correlation rows
+    M conj(ref) and one shift search over all of them."""
+    rows = np.multiply(ws.modes, ref_conj, out=ws.rows)
+    # the real correlation C(y) of an acoustic row is at least -sum |g_n|,
+    # so after this offset its largest |C| is its largest C, not an
+    # anti-correlation
+    acoustic = rows[n_orbit:]
+    acoustic[:, 0] += np.abs(acoustic).sum(axis=-1)
+    return _pick(ref, n_orbit, *_best_shift(rows, grid, ws), grid, ws)
 
 
 def _per_member(ndim: int, *values: np.ndarray):
@@ -494,97 +507,49 @@ def _per_member(ndim: int, *values: np.ndarray):
     return values if ndim > 1 else tuple(v[0] for v in values)
 
 
-def _profile_modes(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
-    """Stacked modes b = (phi', sqrt(nu) phi) of the profile, sampled on the
-    coordinate wrapped to [-L/2, L/2), so non-periodic solitary tails are
-    centered rather than truncated."""
-    xi = _wrapped(grid)
-    return np.stack((_modes(wave.phi_prime(xi), grid),
-                     math.sqrt(wave.params.nu) * _modes(wave.phi(xi), grid)))
+def _orbit_reference(wave: DnoidalWave, grid: GridSpec):
+    """The H^1_nu weight sqrt(k^2 + nu) and the weighted modes of the
+    profile phi, sampled on the coordinate wrapped to [-L/2, L/2), so
+    non-periodic solitary tails are centered rather than truncated."""
+    weight = np.sqrt(grid.k ** 2 + wave.params.nu)
+    return weight, weight * _modes(wave.phi(_wrapped(grid)), grid)
 
 
-# Each distance has two parts: its rows, which correlate the fields with
-# their references into (B, N) rows for `_best_shift`, and its pick, which
-# measures the candidate shifts the search returns for those rows and keeps
-# the nearest.  The public calls run one search per call; `evolve` stacks
-# the orbit and acoustic rows of a save into one search.
-
-def _orbit_rows(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
-                b_conj: np.ndarray, ws: _SaveWorkspace):
-    """The stacked modes a = (w', sqrt(nu) w) of the gauged (B, N) fields u,
-    a (B, 2, N) view of `ws.orbit_modes`, and their correlation rows g with
-    the profile modes b = (phi', sqrt(nu) phi), the first B of `ws.rows`:
-    G(y) = sum g e^{iky} = <w'(.+y), phi'> + nu <w(.+y), phi>."""
+def _orbit_modes(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
+                 weight: np.ndarray, ws: _SaveWorkspace) -> None:
+    """The weighted modes of the gauged (B, N) fields u, written into the
+    first B rows of `ws.modes`."""
     c = wave.params.c
-    a, g = ws.orbit_modes, ws.rows[:len(u)]
+    m, scratch = ws.modes[:len(u)], ws.rows[:len(u)]
     # the gauge's phase seam tracks the antipode of x = c t instead of
     # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing.  The gauged fields wait in g.
-    np.multiply(np.exp(-0.5j * c * _wrapped(grid, c * t)), u, out=g)
-    w = _modes(g, grid, out=a[1])
-    np.multiply(1j * grid.k, w, out=a[0])
-    np.multiply(math.sqrt(wave.params.nu), w, out=a[1])
-    # g = a0 conj(b0) + a1 conj(b1), the sum over the stacked rows
-    np.multiply(a[0], b_conj[0], out=g)
-    g += a[1] * b_conj[1]
-    return a.transpose(1, 0, 2), g
-
-
-def _orbit_pick(a, b, g, ys, e, grid: GridSpec, ws: _SaveWorkspace):
-    """(rho, y_star, theta_star) per member from the (3, B) candidate
-    shifts ys of the rows g and their phases e, with the closed-form
-    optimal phase theta*(y) = -arg G(y); the distances are formed in
-    `ws.orbit`, over both stacked rows."""
-    d, operand, _ = ws.orbit
-    np.copyto(d, e[..., None, :])
-    # G(y) = sum g e^{iky}, formed on both stacked rows and read from one
-    np.copyto(operand, g[:, None])
-    G = np.multiply(operand, d, out=operand)[..., 0, :].sum(axis=-1)
-    theta = np.mod(-np.angle(G), 2.0 * math.pi)
-    np.copyto(operand, np.exp(1j * theta)[..., None, None])
-    np.multiply(operand, d, out=d)
-    # direct evaluation of Omega: well conditioned when the distance is
-    # tiny, unlike the expanded const - 2|G| form
-    omega_val = _distance_sq(a, b, ws.orbit)
-    omega_val, y_star, theta_star = _nearest(omega_val, ys, theta)
-    return np.sqrt(omega_val), np.mod(y_star, grid.L), theta_star
-
-
-def _acoustic_rows(fm: np.ndarray, gm_conj: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """Correlation rows fm conj(gm) of real fields with their references,
-    from the Parseval modes of both, written into and returned as `corr`."""
-    np.multiply(fm, gm_conj, out=corr)
-    # the real correlation C(y) is at least -sum |corr_n|, so after this
-    # offset the largest |C| is the largest C, not an anti-correlation
-    corr[:, 0] += np.abs(corr).sum(axis=-1)
-    return corr
-
-
-def _acoustic_pick(fm, gm, ys, e, grid: GridSpec, ws: _SaveWorkspace):
-    """(distance, shift) per row from the (3, B) candidate shifts ys and
-    their phases e, the distances formed in `ws.acoustic`."""
-    np.copyto(ws.acoustic[0], e[..., None, :])
-    d_sq = _distance_sq(fm[:, None], np.broadcast_to(gm, fm.shape)[:, None], ws.acoustic)
-    d_sq, y = _nearest(d_sq, ys)
-    return np.sqrt(d_sq), np.mod(y, grid.L)
+    # of 4 pi) the wrap changes nothing.  The gauged fields wait in scratch.
+    np.multiply(np.exp(-0.5j * c * _wrapped(grid, c * t)), u, out=scratch)
+    _modes(scratch, grid, out=m)
+    np.copyto(scratch, weight)
+    np.multiply(scratch, m, out=m)
 
 
 def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0):
     """nu-weighted modulated distance of u to the wave orbit, with c and nu
     read from the wave (dnoidal or solitary).
 
-    Applies the traveling gauge, correlates the Fourier modes of field and
-    profile once, takes the closed-form optimal phase theta*(y) = -arg G(y),
-    and refines the best shift to sub-grid accuracy (parabolic vertex, then
-    Newton).  Returns (rho, y_star, theta_star): floats for a (N,) field,
-    (B,) arrays for a (B, N) batch of fields.
+    rho_nu is the l2 distance of the sqrt(k^2 + nu)-weighted Parseval modes
+    of the gauged u and of the profile phi, minimized over translations y
+    and phases theta: the H^1_nu norm ||f'||^2 + nu ||f||^2 is diagonal on
+    Fourier modes with weight k^2 + nu.  Applies the traveling gauge,
+    correlates the weighted modes of field and profile once, takes the
+    closed-form optimal phase theta*(y) = -arg G(y), and refines the best
+    shift to sub-grid accuracy (parabolic vertex, then Newton).  Returns
+    (rho, y_star, theta_star): floats for a (N,) field, (B,) arrays for a
+    (B, N) batch of fields.
     """
     rows = np.atleast_2d(u)
-    b = _profile_modes(wave, grid)
+    weight, ref = _orbit_reference(wave, grid)
+    ref = np.repeat(ref[None], len(rows), axis=0)
     ws = _SaveWorkspace(grid, len(rows))
-    a, g = _orbit_rows(rows, wave, grid, t, np.conj(b), ws)
-    picked = _orbit_pick(a, b, g, *_best_shift(g, grid.k, grid, ws), grid, ws)
-    return _per_member(np.ndim(u), *picked)
+    _orbit_modes(rows, wave, grid, t, weight, ws)
+    return _per_member(np.ndim(u), *_distances(ref, np.conj(ref), len(rows), grid, ws))
 
 
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
@@ -593,17 +558,16 @@ def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     one reference row per row of f."""
     rows = np.atleast_2d(f)
     ws = _SaveWorkspace(grid, 0, len(rows))
-    fm, gm = _modes(rows, grid, out=ws.acoustic_modes), _modes(g, grid)
-    corr = _acoustic_rows(fm, np.conj(gm), ws.rows)
-    picked = _acoustic_pick(fm, gm, *_best_shift(corr, grid.k, grid, ws), grid, ws)
-    return _per_member(np.ndim(f), *picked)
+    _modes(rows, grid, out=ws.modes)
+    ref = np.array(np.broadcast_to(_modes(g, grid), rows.shape))
+    dist, y, _ = _distances(ref, np.conj(ref), 0, grid, ws)
+    return _per_member(np.ndim(f), dist, y)
 
 
 def distance_at_shift(f: np.ndarray, g: np.ndarray, y: float, grid: GridSpec) -> float:
     """||f(.+y) - g||_L2 for (N,) samples."""
-    out = (np.exp(1j * grid.k * y)[None], np.empty((1, grid.N), dtype=complex),
-           np.empty((1, grid.N)))
-    return math.sqrt(_distance_sq(_modes(f, grid)[None], _modes(g, grid), out))
+    d = np.exp(1j * grid.k * y) * _modes(f, grid) - _modes(g, grid)
+    return math.sqrt(np.sum(np.abs(d) ** 2))
 
 
 # --------------------------------------------------------------------------
@@ -702,10 +666,13 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     transform of the state, one transform of u for E, Q1, Q2 and q1_uv,
     one of the gauged u for the B orbit rows of `orbital_distance`, one of
     v and V stacked for the 2B acoustic rows of `shift_distance`, and the
-    correlation inverse transform of one shift search on the orbit rows
-    stacked over the acoustic rows.  The correlation rows, the modes, the
-    search and the distance picks run in one `_SaveWorkspace` built per
-    run for its 3B search rows, so a save allocates none of their arrays.
+    correlation inverse transform of one shift search over all 3B rows.
+    Each row is one distance problem on weighted Parseval modes (rho_nu
+    is the l2 distance of sqrt(k^2 + nu)-weighted modes of the gauged u
+    and phi; see `_SaveWorkspace`), so one correlation step, one search
+    and one pick serve all rows, in one `_SaveWorkspace` built per run,
+    and a save allocates none of their arrays.  A run transforms its
+    references 3 times: functional_B's u, phi, and psi and varphi stacked.
     The save's values, keyed by series name, form one (n_series, B) row in
     `_SERIES` order; the rows stack into one (n_saves, B) array per series
     after the last step, and record i holds column i.  Steps and
@@ -755,30 +722,28 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
     # reference modes, transformed once for every save of every member: the
-    # profile's for the orbit rows, and psi's and varphi's for the acoustic
-    # rows 0..B-1 (v) and B..2B-1 (V); a save's shift search takes the orbit
-    # rows first
-    profile_m = _profile_modes(wave, grid)
-    acoustic_m = _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)
-    profile_conj, acoustic_conj = np.conj(profile_m), np.conj(acoustic_m)
-    orbit, acoustic = slice(None, n_members), slice(n_members, None)
+    # weighted profile's for the orbit rows 0..B-1, and psi's and varphi's
+    # for the acoustic rows B..2B-1 (v) and 2B..3B-1 (V)
+    weight, profile_m = _orbit_reference(wave, grid)
+    refs = np.concatenate((
+        np.repeat(profile_m[None], n_members, axis=0),
+        _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)))
+    refs_conj = np.conj(refs)
     ws = _SaveWorkspace(grid, n_members, 2 * n_members)
+    acoustic_m = ws.modes[n_members:]
 
     # one row per save: the initial state, every save_stride-th step and the last step
     rows = []
 
     def record(s):
         inv, q1p = _invariants_q1_uv(s, grid)
-        a, g = _orbit_rows(s.u, wave, grid, s.t, profile_conj, ws)
-        fm = _modes(np.concatenate((s.v, s.V)), grid, out=ws.acoustic_modes)
-        _acoustic_rows(fm, acoustic_conj, ws.rows[acoustic])
-        # one shift search on the B orbit rows stacked over the 2B acoustic rows
-        ys, e = _best_shift(ws.rows, grid.k, grid, ws)
-        rho, y_star, th = _orbit_pick(a, profile_m, g, ys[:, orbit], e[:, orbit], grid, ws)
-        dist, _ = _acoustic_pick(fm, acoustic_m, ys[:, acoustic], e[:, acoustic], grid, ws)
+        _orbit_modes(s.u, wave, grid, s.t, weight, ws)
+        _modes(np.concatenate((s.v, s.V)), grid, out=acoustic_m)
+        dist, y_star, th = _distances(refs, refs_conj, n_members, grid, ws)
         row = dict(times=np.full(n_members, s.t), E=inv.E, Q1=inv.Q1, Q2=inv.Q2,
-                   B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=rho, y_star=y_star,
-                   theta_star=th, dist_v=dist[:n_members], dist_V=dist[n_members:],
+                   B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=dist[:n_members],
+                   y_star=y_star[:n_members], theta_star=th[:n_members],
+                   dist_v=dist[n_members:2 * n_members], dist_V=dist[2 * n_members:],
                    q1_uv_real=q1p.real, q1_uv_imag=q1p.imag)
         rows.append(np.stack([row[name] for name in _SERIES]))
 
@@ -871,9 +836,19 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
                         delta: float = 0.0, t_end: float = 10.0,
                         dt: float | None = None, seed: int = 0, N: int = 1024
                         ) -> ExperimentRecord:
-    """Solitary-wave run on a torus large enough that tails are below 1e-14."""
+    """Solitary-wave run on the torus L = box_factor / sqrt(-4 omega - c^2),
+    whose wrap x = L/2 lies box_factor / 4 decay lengths from the peak.
+
+    At box_factor >= 80 the acoustic profiles psi and varphi (sech^2
+    tails) are below 1e-14 at the wrap.  The envelope is not: phi(L/2) =
+    eta1 sech(box_factor / 4), 4.9e-9 at 80, and the carrier e^{icx/2}
+    also jumps there unless c L / (4 pi) is an integer.  So the sampled u
+    is not a periodic solution, and even the unperturbed run leaves its
+    orbit slowly: rho_nu reads about 6e-8 by t = 0.2 at N = 1024.
+    """
     if not box_factor >= 80.0:
-        raise DomainError("box_factor must be >= 80 so wrapped tails stay < 1e-14")
+        raise DomainError("box_factor must be >= 80 so the wrapped tails of psi and varphi "
+                          "stay < 1e-14 (phi's is eta1 sech(box_factor/4), 4.9e-9 at 80)")
     if not math.isfinite(box_factor):
         raise DomainError(f"box_factor={box_factor} must be finite")
     sw = solitary_wave(omega, c)

@@ -76,6 +76,17 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     return windows[::-1].copy()
 
 
+# Floquet phase theta of each boundary condition: a mode picks up e^{i theta}
+# over one period L
+_FLOQUET_PHASES = {"periodic": 0.0, "semiperiodic": math.pi}
+
+
+def _floquet_phase(boundary: str) -> float:
+    if boundary not in _FLOQUET_PHASES:
+        raise ValueError(f"unknown boundary {boundary!r}")
+    return _FLOQUET_PHASES[boundary]
+
+
 @dataclass(frozen=True)
 class HillOperator:
     """Discretized -d^2/dx^2 + shift + V(x) on a uniform N-point grid of [0, L).
@@ -88,11 +99,9 @@ class HillOperator:
     potential: np.ndarray
     N: int
 
-    def _wavenumbers(self, boundary: str, n: np.ndarray) -> np.ndarray:
-        """Bloch wavenumbers kappa_n of the mode integers n."""
-        if boundary not in ("periodic", "semiperiodic"):
-            raise ValueError(f"unknown boundary {boundary!r}")
-        theta = 0.0 if boundary == "periodic" else math.pi
+    def _wavenumbers(self, theta: float, n: np.ndarray) -> np.ndarray:
+        """Bloch wavenumbers kappa_n = (2 pi n + theta) / L of the mode
+        integers n at the Floquet phase theta."""
         return (2.0 * math.pi * n + theta) / self.L
 
     @cached_property
@@ -124,9 +133,9 @@ class HillOperator:
             raise DomainError(f"M={M} modes need 1 <= M < N/4 = {self.N / 4}")
         return self.cosine_coefficients[:2 * M + 1]
 
-    def _diagonal(self, boundary: str, n: np.ndarray) -> np.ndarray:
+    def _diagonal(self, theta: float, n: np.ndarray) -> np.ndarray:
         """kappa_n^2 + shift, the diagonal the potential's coefficients sit on."""
-        return self._wavenumbers(boundary, n) ** 2 + self.shift
+        return self._wavenumbers(theta, n) ** 2 + self.shift
 
     def fourier_matrix(self, boundary: str, M: int) -> np.ndarray:
         """Real symmetric Floquet-Fourier-Hill matrix on the modes n = -M..M.
@@ -139,7 +148,7 @@ class HillOperator:
         r = self._coefficients(M)
         mat = _toeplitz(r)
         n = np.arange(-M, M + 1)
-        mat[np.diag_indices(n.size)] += self._diagonal(boundary, n)
+        mat[np.diag_indices(n.size)] += self._diagonal(_floquet_phase(boundary), n)
         return mat
 
     def parity_blocks(self, boundary: str, M: int):
@@ -154,10 +163,11 @@ class HillOperator:
         whole matrix that hold its Toeplitz and Hankel parts.
         """
         r = self._coefficients(M)
-        periodic = boundary == "periodic"
+        theta = _floquet_phase(boundary)
+        periodic = theta == 0.0
         size = M + 1 if periodic else M
         toeplitz = _toeplitz(r[:size])
-        toeplitz[np.diag_indices(size)] += self._diagonal(boundary, np.arange(size))
+        toeplitz[np.diag_indices(size)] += self._diagonal(theta, np.arange(size))
         # row a of the Hankel part is vhat[a + b + offset], b = 0..size-1
         offset = 0 if periodic else 1
         hankel = np.lib.stride_tricks.sliding_window_view(r[offset:offset + 2 * size - 1], size)
@@ -180,7 +190,8 @@ class HillOperator:
         is diag(V).  The ifft keeps t accurate: a direct cosine sum has
         arguments up to about pi N.
         """
-        kappa = self._wavenumbers(boundary, np.fft.fftfreq(self.N, d=1.0 / self.N))
+        kappa = self._wavenumbers(_floquet_phase(boundary),
+                                  np.fft.fftfreq(self.N, d=1.0 / self.N))
         s = np.arange(self.N)
         t = (np.exp(1j * kappa[0] * s * self.L / self.N) * np.fft.ifft(kappa**2)).real
         mat = t[np.abs(s[:, None] - s[None, :])]

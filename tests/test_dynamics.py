@@ -1,5 +1,6 @@
 """Evolution, conserved quantities, and the modulated-distance machinery."""
 
+import inspect
 import math
 import tracemalloc
 from dataclasses import fields
@@ -612,9 +613,9 @@ def test_evolve_records_the_direct_diagnostics_of_each_save(wave_std, grid_std,
     searched = []
     best_shift = dynamics._best_shift
 
-    def spy(g, k, grid, ws):
+    def spy(g, grid, ws):
         searched.append(g.shape)
-        return best_shift(g, k, grid, ws)
+        return best_shift(g, grid, ws)
 
     solitary = solitary_wave(SOL_OMEGA, SOL_C)
     sol_grid = GridSpec(L=80.0 / math.sqrt(-4.0 * SOL_OMEGA - SOL_C**2), N=256)
@@ -723,14 +724,14 @@ def test_batched_newton_keeps_each_rows_own_break():
     grid = GridSpec(L=8.0 * math.pi, N=64)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((600, grid.N)) + 1j * rng.standard_normal((600, grid.N))
-    ys, phases = dynamics._best_shift(g, grid.k, grid)
+    ys, phases = dynamics._best_shift(g, grid, dynamics._SaveWorkspace(grid, len(g)))
     assert ys.shape == (3, len(g)) and phases.shape == (3, len(g), grid.N)
     ends = set()
     for i in range(len(g)):
         y, end = _lone_best_shift(g[i], grid.k, grid)
         ends.add(end)
         assert ys[2, i] == y, i
-        one, _ = dynamics._best_shift(g[i:i + 1], grid.k, grid)
+        one, _ = dynamics._best_shift(g[i:i + 1], grid, dynamics._SaveWorkspace(grid, 1))
         assert np.array_equal(one[:, 0], ys[:, i]), i
     # these white-noise correlations end Newton on every branch
     assert ends == {"curvature", "long step", "converged", "cap"}
@@ -831,6 +832,31 @@ def test_solitary_phase_rotation_at_zero_speed():
     expected = np.mod(rec.metadata["omega"] * rec.times, 2.0 * math.pi)
     diff = np.abs(np.exp(1j * rec.theta_star) - np.exp(1j * expected))
     assert np.max(diff) <= 1e-6
+
+
+def test_solitary_box_wraps_psi_below_1e14_but_not_phi():
+    # the wrap x = L/2 of the default box lies box_factor/4 = 20 decay
+    # lengths out: the sech^2 profiles psi and varphi are ~3e-17 there, the
+    # sech envelope phi is eta1 sech(20) = 4.9e-9
+    box_factor = inspect.signature(solitary_experiment).parameters["box_factor"].default
+    sw = solitary_wave(SOL_OMEGA, SOL_C)
+    L = box_factor / math.sqrt(-4.0 * SOL_OMEGA - SOL_C**2)
+    wrap = np.array([-0.5 * L, 0.5 * L])
+    expected = sw.params.eta1 / math.cosh(box_factor / 4.0)
+    assert sw.phi(wrap) == pytest.approx([expected, expected], rel=1e-12)
+    assert expected > 1e-9
+    assert np.max(np.abs(sw.psi(wrap))) <= 1e-14
+    assert np.max(np.abs(sw.varphi(wrap))) <= 1e-14
+
+
+def test_exact_waves_start_on_their_orbit(solitary_run_exact, exact_run, wave_c0):
+    # both derivatives of rho_nu's sqrt(k^2 + nu)-weighted modes are
+    # spectral, so an exact wave reads rounding at t = 0 (3.0e-14 on the
+    # N = 1024 solitary box, 7.3e-15 on the standard wave at N = 256)
+    assert solitary_run_exact.rho_nu[0] <= 1e-12
+    assert exact_run.rho_nu[0] <= 1e-12
+    grid = GridSpec(L=2.0 * math.pi, N=128)
+    assert orbital_distance(wave_state(wave_c0, grid).u, wave_c0, grid)[0] <= 1e-12
 
 
 def test_solitary_rejects_small_box():

@@ -103,9 +103,9 @@ def test_evolve_builds_one_save_workspace_per_run(wave_std, grid_std, monkeypatc
     workspaces = []
     best_shift = dynamics._best_shift
 
-    def spy(g, k, grid, ws):
+    def spy(g, grid, ws):
         workspaces.append(ws)
-        return best_shift(g, k, grid, ws)
+        return best_shift(g, grid, ws)
 
     monkeypatch.setattr(dynamics, "_best_shift", spy)
     for n_members in (2, 1):

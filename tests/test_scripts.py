@@ -89,7 +89,7 @@ def test_perturbation_scaling_matches_serial_scalar_runs(tmp_path, monkeypatch):
 # SHA-256 of the CSV of `perturbation_scaling.py --t-end 0.2 --N 128
 # --seed 3`: five deltas stepped as one (3, 5, 128) batch, 125 steps
 PERTURBATION_SCALING_SHA256 = \
-    "09089219c3ff8c00d198938ac013298ea6da886beb586258d3ed0245da0f32c4"
+    "ef523dd4538b6578026f49e9a904423621b0e3f351090cb62bb9268886e8961f"
 
 
 def test_perturbation_scaling_batched_csv_is_pinned(tmp_path, monkeypatch):

@@ -202,7 +202,8 @@ def test_fourier_matrix_is_bitwise_the_index_gather(N):
         for boundary in ("periodic", "semiperiodic"):
             n = np.arange(-M, M + 1)
             ref = (np.fft.rfft(V) / N).real[np.abs(n[:, None] - n[None, :])]
-            ref[np.diag_indices(n.size)] += op._wavenumbers(boundary, n) ** 2 + op.shift
+            theta = spectral._floquet_phase(boundary)
+            ref[np.diag_indices(n.size)] += op._wavenumbers(theta, n) ** 2 + op.shift
             F = op.fourier_matrix(boundary, M)
             assert np.array_equal(F, ref), (M, boundary)
             assert F.flags.writeable and F.flags.c_contiguous and F.flags.owndata

@@ -61,7 +61,7 @@ def test_traced_step_does_sixteen_transforms(tracer, wave_std, grid_std):
 
 
 def test_traced_orbital_distance_does_at_most_four_transforms(tracer, wave_std, grid_std):
-    # field, profile and profile-derivative modes plus one correlation ifft
+    # field and profile modes plus one correlation ifft: three
     u = wave_state(wave_std, grid_std).u
     first = len(tracer.names)
     dynamics.orbital_distance(u, wave_std, grid_std)
@@ -121,12 +121,12 @@ def test_traced_evolve_transforms_reference_fields_once(wave_std, grid_std):
     # to_physical, one fft of u for E, Q1, Q2 and q1_uv, one of the gauged
     # u, one of the stacked v and V, and one correlation ifft in the one
     # shift search.  The reference fields are transformed once per run:
-    # functional_B's u, the profile's phi' and phi, and psi and varphi
-    # stacked; so neither the transforms per save nor the profile samplings
-    # grow with the saves
+    # functional_B's u, the profile phi, and psi and varphi stacked; so
+    # neither the transforms per save nor the profile samplings grow with
+    # the saves
     per_save, per_run, profiles = _save_transforms(
         [wave_state(wave_std, grid_std)], wave_std, grid_std)
-    assert (per_save, per_run) == (5, 4)
+    assert (per_save, per_run) == (5, 3)
     assert profiles[0] == profiles[1]
 
 
@@ -136,7 +136,7 @@ def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
     s0 = wave_state(wave_std, grid_std)
     for n_members in (1, 5):
         per_save, per_run, _ = _save_transforms([s0] * n_members, wave_std, grid_std)
-        assert (per_save, per_run) == (5, 4), n_members
+        assert (per_save, per_run) == (5, 3), n_members
 
 
 def _spans(tr, first, name):
