@@ -343,8 +343,7 @@ def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
 # modulated distance
 
 class _SaveWorkspace:
-    """Scratch arrays of the save diagnostics for `n_orbit` orbit rows over
-    `n_acoustic` acoustic rows of N points, R = n_orbit + n_acoustic.
+    """Scratch arrays of the save diagnostics for R rows of N points.
 
     Every row is one distance problem: the least ||e^{i theta} e^{iky} M - R||
     over shifts y of the weighted Parseval modes M of a field to those of
@@ -355,8 +354,9 @@ class _SaveWorkspace:
     rows first, and `rows` (R, N) the correlation rows M conj(R).
     `_best_shift` searches `rows` in `derivs` (C, C', C'' of each row) and
     `terms` (their products with the phases), each (3, R, N), and returns
-    its phases in `phases`; `_pick` then forms every candidate distance in
-    `terms` and `derivs`, with its squares in the real (3, R, N) `real`.
+    the phases of its shifts in `phases` (R, N); `_pick` then forms each
+    row's distance at its shift in `terms`, with its squares in the real
+    (R, N) `real`.
 
     `evolve` builds one workspace for its run and reuses it at every save,
     so a save allocates only transients, none larger than a few of its
@@ -374,14 +374,13 @@ class _SaveWorkspace:
     order matters); every result is bitwise that expression's.
     """
 
-    def __init__(self, grid: GridSpec, n_orbit: int, n_acoustic: int = 0):
-        shape = (n_orbit + n_acoustic, grid.N)
-        self.rows = np.empty(shape, dtype=complex)
+    def __init__(self, grid: GridSpec, n_rows: int):
+        self.rows = np.empty((n_rows, grid.N), dtype=complex)
         self.modes = np.empty_like(self.rows)
-        self.derivs = np.empty((3,) + shape, dtype=complex)
+        self.phases = np.empty_like(self.rows)
+        self.real = np.empty(self.rows.shape)
+        self.derivs = np.empty((3,) + self.rows.shape, dtype=complex)
         self.terms = np.empty_like(self.derivs)
-        self.phases = np.empty_like(self.derivs)
-        self.real = np.empty((3,) + shape)
 
 
 def _peak(f: np.ndarray):
@@ -407,11 +406,11 @@ def _phases(ik: np.ndarray, y: np.ndarray, out: np.ndarray, spread: np.ndarray) 
 
 
 def _best_shift(g: np.ndarray, grid: GridSpec, ws: _SaveWorkspace):
-    """Candidate maximizers of |C(y)|, C(y) = sum g_n e^{i k_n y}, for each
-    row of the (B, N) array g: the best grid shift, the parabolic vertex
-    through its neighbours, and Newton on |C|^2 started from the vertex.
-    Returns the (3, B) shifts and their (3, B, N) phases e^{i k y}, which
-    are `ws.phases`; `ws` must hold B search rows.
+    """The maximizer of |C(y)|, C(y) = sum g_n e^{i k_n y}, for each row of
+    the (R, N) array g: Newton on |C|^2, started from the parabolic vertex
+    through the best grid shift and its neighbours.  Returns the (R,)
+    shifts and their (R, N) phases e^{i k y}, which are `ws.phases`; `ws`
+    must hold R rows.
 
     Newton runs on every row at once; a row leaves the iteration where a
     lone run would break (non-negative curvature, a step longer than dx,
@@ -421,15 +420,12 @@ def _best_shift(g: np.ndarray, grid: GridSpec, ws: _SaveWorkspace):
     dx = grid.L / grid.N
     tol = 1e-14 * max(1.0, grid.L)
     # at the grid shifts y = j dx, C is N ifft(g); the scale leaves the
-    # peak and the vertex unchanged.  The transform waits in the Newton
-    # phases, which overwrite it.
-    e_grid, e_vertex, e_newton = ws.phases
-    m, delta = _peak(np.abs(np.fft.ifft(g, out=e_newton)))
-    vertex = (m + delta) * dx
-    y = vertex.copy()
+    # peak and the vertex unchanged.  The transform waits in the phases,
+    # which overwrite it.
+    m, delta = _peak(np.abs(np.fft.ifft(g, out=ws.phases)))
+    y = (m + delta) * dx
     ik = 1j * k
     derivs, terms = ws.derivs, ws.terms
-    e = _phases(ik, vertex, e_vertex, terms[0])
     # C, C', C'' share e^{iky}: the rows g, ik g and -k^2 g
     np.copyto(derivs[0], g)
     np.copyto(derivs[1], ik)
@@ -438,10 +434,8 @@ def _best_shift(g: np.ndarray, grid: GridSpec, ws: _SaveWorkspace):
     np.multiply(derivs[2], g, out=derivs[2])
     active = np.ones(y.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(8):
-            if i:
-                e = _phases(ik, y, e_newton, terms[0])
-            np.copyto(terms, e)
+        for _ in range(8):
+            np.copyto(terms, _phases(ik, y, ws.phases, terms[0]))
             C, Cp, Cpp = np.multiply(derivs, terms, out=terms).sum(axis=-1)
             Cc = C.conj()
             # curv is half the curvature of |C|^2, and y - step the Newton update
@@ -453,28 +447,24 @@ def _best_shift(g: np.ndarray, grid: GridSpec, ws: _SaveWorkspace):
             active &= size >= tol
             if not active.any():
                 break
-    grid_shift = m * dx
-    _phases(ik, grid_shift, e_grid, terms[0])
-    _phases(ik, y, e_newton, terms[0])
-    return np.stack((grid_shift, vertex, y)), ws.phases
+    return y, _phases(ik, y, ws.phases, terms[0])
 
 
-def _pick(ref: np.ndarray, n_orbit: int, ys: np.ndarray, e: np.ndarray, grid: GridSpec,
+def _pick(ref: np.ndarray, n_orbit: int, y: np.ndarray, e: np.ndarray, grid: GridSpec,
           ws: _SaveWorkspace):
     """(distance, shift, theta) per row of `ws.modes` M to its row of the
-    (R, N) reference modes `ref`: the least ||e^{i theta} e^{iky} M - ref||
-    over the (3, R) candidate shifts ys and their phases e, the first on
-    ties.  The first n_orbit rows take the closed-form optimal phase
-    theta*(y) = -arg G(y), G(y) = sum g e^{iky} over their correlation rows
-    g in `ws.rows`; the others keep theta = 0.  The phases e are rotated in
-    place."""
-    d, operand, d_re = ws.terms, ws.derivs, ws.real
+    (R, N) reference modes `ref`: ||e^{i theta} e^{iky} M - ref|| at the
+    (R,) shifts y with phases e, the shifts wrapped to [0, L).  The first
+    n_orbit rows take the closed-form optimal phase theta*(y) = -arg G(y),
+    G(y) = sum g e^{iky} over their correlation rows g in `ws.rows`; the
+    others keep theta = 0.  The phases e are rotated in place."""
+    d, operand, d_re = ws.terms[0], ws.terms[1], ws.real
     # G is formed on every row in one product; only the orbit rows read it
     np.copyto(d, ws.rows)
     G = np.multiply(d, e, out=d).sum(axis=-1)
     theta = np.mod(-np.angle(G), 2.0 * math.pi)
-    theta[:, n_orbit:] = 0.0
-    np.copyto(d, np.exp(1j * theta)[..., None])
+    theta[n_orbit:] = 0.0
+    np.copyto(d, np.exp(1j * theta)[:, None])
     np.multiply(d, e, out=e)
     # direct evaluation: well conditioned when the distance is tiny, unlike
     # the expanded |M|^2 + |ref|^2 - 2|G| form
@@ -484,9 +474,10 @@ def _pick(ref: np.ndarray, n_orbit: int, ys: np.ndarray, e: np.ndarray, grid: Gr
     np.subtract(d, operand, out=d)
     np.abs(d, out=d_re)
     np.square(d_re, out=d_re)
-    d_sq = d_re.sum(axis=-1)
-    pick = (np.argmin(d_sq, axis=0), np.arange(d_sq.shape[1]))
-    return np.sqrt(d_sq[pick]), np.mod(ys[pick], grid.L), theta[pick]
+    # np.mod rounds a y just below 0 up to L itself
+    y = np.mod(y, grid.L)
+    y[y == grid.L] = 0.0
+    return np.sqrt(d_re.sum(axis=-1)), y, theta
 
 
 def _distances(ref: np.ndarray, ref_conj: np.ndarray, n_orbit: int, grid: GridSpec,
@@ -557,7 +548,7 @@ def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
     shape (N,) (floats) or (B, N) ((B,) arrays), and g of shape (N,) or
     one reference row per row of f."""
     rows = np.atleast_2d(f)
-    ws = _SaveWorkspace(grid, 0, len(rows))
+    ws = _SaveWorkspace(grid, len(rows))
     _modes(rows, grid, out=ws.modes)
     ref = np.array(np.broadcast_to(_modes(g, grid), rows.shape))
     dist, y, _ = _distances(ref, np.conj(ref), 0, grid, ws)
@@ -669,8 +660,9 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
     correlation inverse transform of one shift search over all 3B rows.
     Each row is one distance problem on weighted Parseval modes (rho_nu
     is the l2 distance of sqrt(k^2 + nu)-weighted modes of the gauged u
-    and phi; see `_SaveWorkspace`), so one correlation step, one search
-    and one pick serve all rows, in one `_SaveWorkspace` built per run,
+    and phi; see `_SaveWorkspace`), so one correlation step, one Newton
+    search for one shift per row and one evaluation of each row's distance
+    at its shift serve all rows, in one `_SaveWorkspace` built per run,
     and a save allocates none of their arrays.  A run transforms its
     references 3 times: functional_B's u, phi, and psi and varphi stacked.
     The save's values, keyed by series name, form one (n_series, B) row in
@@ -729,7 +721,7 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
         np.repeat(profile_m[None], n_members, axis=0),
         _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)))
     refs_conj = np.conj(refs)
-    ws = _SaveWorkspace(grid, n_members, 2 * n_members)
+    ws = _SaveWorkspace(grid, 3 * n_members)
     acoustic_m = ws.modes[n_members:]
 
     # one row per save: the initial state, every save_stride-th step and the last step

@@ -114,7 +114,7 @@ def test_evolve_builds_one_save_workspace_per_run(wave_std, grid_std, monkeypatc
         evolve(states0, wave_std, grid_std, 1e-3, 4e-3)
         assert len(workspaces) == 5
         assert all(ws is workspaces[0] for ws in workspaces)
-        assert workspaces[0].phases.shape == (3, 3 * n_members, grid_std.N)
+        assert workspaces[0].phases.shape == (3 * n_members, grid_std.N)
 
 
 def test_distance_results_outlive_later_calls_at_other_shapes(wave_std, grid_std):
