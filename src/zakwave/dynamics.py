@@ -307,11 +307,11 @@ def _modes(f: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.n
     return np.multiply(m, math.sqrt(grid.L) / grid.N, out=m)
 
 
-def _invariants_q1_uv(s: FieldState, grid: GridSpec):
-    """(ZakInvariants, q1_paper_form) of s from one transform of u.  With
-    the Parseval modes w of u, integral |u_x|^2 = sum k^2 |w|^2 and
-    integral Im(u_x conj u) = sum k |w|^2."""
-    k, w2 = grid.k, np.abs(_modes(s.u, grid)) ** 2
+def _invariants_q1_uv(s: FieldState, w: np.ndarray, grid: GridSpec):
+    """(ZakInvariants, q1_paper_form) of s, given the Parseval modes w of
+    s.u: integral |u_x|^2 = sum k^2 |w|^2 and integral Im(u_x conj u) =
+    sum k |w|^2."""
+    k, w2 = grid.k, np.abs(w) ** 2
     kw2 = np.sum(k * w2, axis=-1)
     e = np.sum(k * k * w2, axis=-1) + 0.5 * grid.integrate(
         s.v**2 + s.V**2 + 2.0 * s.v * np.abs(s.u) ** 2)
@@ -322,14 +322,14 @@ def _invariants_q1_uv(s: FieldState, grid: GridSpec):
 
 def invariants(s: FieldState, grid: GridSpec) -> ZakInvariants:
     """E, Q1 (vV form), Q2 by spectral quadrature."""
-    return _invariants_q1_uv(s, grid)[0]
+    return _invariants_q1_uv(s, _modes(s.u, grid), grid)[0]
 
 
 def q1_paper_form(s: FieldState, grid: GridSpec):
     """The momentum functional with the u V integrand as printed in the
     source formula; complex-valued for generic u and not conserved
     (diagnostic only, see the vV form in `invariants`)."""
-    return _invariants_q1_uv(s, grid)[1]
+    return _invariants_q1_uv(s, _modes(s.u, grid), grid)[1]
 
 
 def functional_B(s: FieldState, wave: DnoidalWave, grid: GridSpec) -> float:
@@ -347,11 +347,12 @@ class _SaveWorkspace:
 
     Every row is one distance problem: the least ||e^{i theta} e^{iky} M - R||
     over shifts y of the weighted Parseval modes M of a field to those of
-    its reference R.  The orbit rows weight both by sqrt(k^2 + nu), so
-    their distance, rho_nu, is the l2 distance of sqrt(k^2 + nu)-weighted
-    modes, and minimize over the phase theta too; the acoustic rows of v
-    and V weight by 1 and keep theta = 0.  `modes` (R, N) holds M, orbit
-    rows first, and `rows` (R, N) the correlation rows M conj(R).
+    its reference R.  The orbit rows hold the modes of u and of the wave's
+    t = 0 sample, both weighted by sqrt((k - c/2)^2 + nu), so their
+    distance is rho_nu, and minimize over the phase theta too; the
+    acoustic rows of v and V weight by 1 and keep theta = 0.  `modes`
+    (R, N) holds M, orbit rows first, and `rows` (R, N) the correlation
+    rows M conj(R).
     `_best_shift` searches `rows` in `derivs` (C, C', C'' of each row) and
     `terms` (their products with the phases), each (3, R, N), and returns
     the phases of its shifts in `phases` (R, N); `_pick` then forms each
@@ -498,49 +499,49 @@ def _per_member(ndim: int, *values: np.ndarray):
     return values if ndim > 1 else tuple(v[0] for v in values)
 
 
-def _orbit_reference(wave: DnoidalWave, grid: GridSpec):
-    """The H^1_nu weight sqrt(k^2 + nu) and the weighted modes of the
-    profile phi, sampled on the coordinate wrapped to [-L/2, L/2), so
-    non-periodic solitary tails are centered rather than truncated."""
-    weight = np.sqrt(grid.k ** 2 + wave.params.nu)
-    return weight, weight * _modes(wave.phi(_wrapped(grid)), grid)
+def _orbit_weight(wave: DnoidalWave, grid: GridSpec) -> np.ndarray:
+    """The weight sqrt((k - c/2)^2 + nu) of the orbit rows.  The H^1_nu
+    norm ||f'||^2 + nu ||f||^2 is diagonal on Fourier modes with weight
+    k^2 + nu, so on the modes of u this weight reads the norm of the
+    carrier-free field f = e^{-icx/2} u."""
+    p = wave.params
+    return np.sqrt((grid.k - 0.5 * p.c) ** 2 + p.nu)
 
 
-def _orbit_modes(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float,
-                 weight: np.ndarray, ws: _SaveWorkspace) -> None:
-    """The weighted modes of the gauged (B, N) fields u, written into the
-    first B rows of `ws.modes`."""
-    c = wave.params.c
-    m, scratch = ws.modes[:len(u)], ws.rows[:len(u)]
-    # the gauge's phase seam tracks the antipode of x = c t instead of
-    # cutting through the profile; for carrier-periodic waves (c L multiple
-    # of 4 pi) the wrap changes nothing.  The gauged fields wait in scratch.
-    np.multiply(np.exp(-0.5j * c * _wrapped(grid, c * t)), u, out=scratch)
-    _modes(scratch, grid, out=m)
-    np.copyto(scratch, weight)
-    np.multiply(scratch, m, out=m)
+def _orbit_phase(theta: np.ndarray, y: np.ndarray, c: float, t: float, L: float) -> np.ndarray:
+    """theta* from the phase theta that the shift y gives u's own modes:
+    theta + c y~/2 - c^2 t/2 mod 2 pi, with y~ the representative of y
+    nearest c t.  It is the phase of the profile in the traveling gauge,
+    u ~ e^{-i theta*} e^{ic(x - ct)/2} phi(x - y*) with the carrier's seam
+    at the antipode of x = c t; for carrier-periodic waves (c L a
+    multiple of 4 pi) the representative changes nothing."""
+    y_near = y - L * np.round((y - c * t) / L)
+    return np.mod(theta + 0.5 * c * y_near - 0.5 * c * c * t, 2.0 * math.pi)
 
 
 def orbital_distance(u: np.ndarray, wave: DnoidalWave, grid: GridSpec, t: float = 0.0):
     """nu-weighted modulated distance of u to the wave orbit, with c and nu
     read from the wave (dnoidal or solitary).
 
-    rho_nu is the l2 distance of the sqrt(k^2 + nu)-weighted Parseval modes
-    of the gauged u and of the profile phi, minimized over translations y
-    and phases theta: the H^1_nu norm ||f'||^2 + nu ||f||^2 is diagonal on
-    Fourier modes with weight k^2 + nu.  Applies the traveling gauge,
-    correlates the weighted modes of field and profile once, takes the
-    closed-form optimal phase theta*(y) = -arg G(y), and refines the best
-    shift to sub-grid accuracy (parabolic vertex, then Newton).  Returns
-    (rho, y_star, theta_star): floats for a (N,) field, (B,) arrays for a
-    (B, N) batch of fields.
+    rho_nu is the H^1_nu distance of e^{-icx/2} u to the profile phi's
+    orbit under translations y and phases theta.  It is read on the
+    Parseval modes of u and of the wave's t = 0 sample u0 =
+    `wave_state(wave, grid).u`, both weighted by sqrt((k - c/2)^2 + nu)
+    (`_orbit_weight`), so no carrier is divided out of either field.
+    Correlates the weighted modes once, takes the closed-form optimal
+    phase -arg G(y), and refines the best shift to sub-grid accuracy
+    (parabolic vertex, then Newton); `_orbit_phase` turns that phase into
+    theta_star, and is the only place t enters.  Returns (rho, y_star,
+    theta_star): floats for a (N,) field, (B,) arrays for a (B, N) batch
+    of fields.
     """
     rows = np.atleast_2d(u)
-    weight, ref = _orbit_reference(wave, grid)
-    ref = np.repeat(ref[None], len(rows), axis=0)
+    weight = _orbit_weight(wave, grid)
+    ref = np.array(np.broadcast_to(weight * _modes(wave_state(wave, grid).u, grid), rows.shape))
     ws = _SaveWorkspace(grid, len(rows))
-    _orbit_modes(rows, wave, grid, t, weight, ws)
-    return _per_member(np.ndim(u), *_distances(ref, np.conj(ref), len(rows), grid, ws))
+    np.multiply(weight, _modes(rows, grid, out=ws.modes), out=ws.modes)
+    rho, y, theta = _distances(ref, np.conj(ref), len(rows), grid, ws)
+    return _per_member(np.ndim(u), rho, y, _orbit_phase(theta, y, wave.params.c, t, grid.L))
 
 
 def shift_distance(f: np.ndarray, g: np.ndarray, grid: GridSpec):
@@ -653,18 +654,18 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
 
     The members share the wave, grid, dt, t_end and start time, and step
     together as one (3, B, N) spectral state.  Each save works on the
-    (B, N) fields of the whole batch in 5 transforms: the stacked inverse
-    transform of the state, one transform of u for E, Q1, Q2 and q1_uv,
-    one of the gauged u for the B orbit rows of `orbital_distance`, one of
-    v and V stacked for the 2B acoustic rows of `shift_distance`, and the
+    (B, N) fields of the whole batch in 3 transforms: the stacked inverse
+    transform of the state, one transform of u, v and V stacked, and the
     correlation inverse transform of one shift search over all 3B rows.
-    Each row is one distance problem on weighted Parseval modes (rho_nu
-    is the l2 distance of sqrt(k^2 + nu)-weighted modes of the gauged u
-    and phi; see `_SaveWorkspace`), so one correlation step, one Newton
-    search for one shift per row and one evaluation of each row's distance
-    at its shift serve all rows, in one `_SaveWorkspace` built per run,
-    and a save allocates none of their arrays.  A run transforms its
-    references 3 times: functional_B's u, phi, and psi and varphi stacked.
+    The u rows of the forward transform give E, Q1, Q2 and q1_uv and are
+    then weighted in place into the B orbit rows of `orbital_distance`;
+    the v and V rows are the 2B acoustic rows of `shift_distance`.  Each
+    row is one distance problem on weighted Parseval modes (see
+    `_SaveWorkspace`), so one correlation step, one Newton search for one
+    shift per row and one evaluation of each row's distance at its shift
+    serve all rows, in one `_SaveWorkspace` built per run, and a save
+    allocates none of their arrays.  A run transforms its references 2
+    times: functional_B's u, and u, psi and varphi stacked.
     The save's values, keyed by series name, form one (n_series, B) row in
     `_SERIES` order; the rows stack into one (n_saves, B) array per series
     after the last step, and record i holds column i.  Steps and
@@ -713,28 +714,31 @@ def evolve(states0: Sequence[FieldState], wave: DnoidalWave, grid: GridSpec, dt:
 
     ref = wave_state(wave, grid, t=0.0)
     b_wave = functional_B(ref, wave, grid)
-    # reference modes, transformed once for every save of every member: the
-    # weighted profile's for the orbit rows 0..B-1, and psi's and varphi's
-    # for the acoustic rows B..2B-1 (v) and 2B..3B-1 (V)
-    weight, profile_m = _orbit_reference(wave, grid)
-    refs = np.concatenate((
-        np.repeat(profile_m[None], n_members, axis=0),
-        _modes(np.repeat(np.stack((ref.v, ref.V)), n_members, axis=0), grid)))
+    # reference modes, transformed once for every save of every member:
+    # the weighted modes of u0 for the orbit rows 0..B-1, and psi's and
+    # varphi's for the acoustic rows B..2B-1 (v) and 2B..3B-1 (V)
+    weight = _orbit_weight(wave, grid)
+    ref_m = _modes(np.stack((ref.u, ref.v, ref.V)), grid)
+    ref_m[0] = weight * ref_m[0]
+    refs = np.repeat(ref_m, n_members, axis=0)
     refs_conj = np.conj(refs)
     ws = _SaveWorkspace(grid, 3 * n_members)
-    acoustic_m = ws.modes[n_members:]
+    orbit_m, spread = ws.modes[:n_members], ws.rows[:n_members]
 
     # one row per save: the initial state, every save_stride-th step and the last step
     rows = []
 
     def record(s):
-        inv, q1p = _invariants_q1_uv(s, grid)
-        _orbit_modes(s.u, wave, grid, s.t, weight, ws)
-        _modes(np.concatenate((s.v, s.V)), grid, out=acoustic_m)
+        _modes(np.concatenate((s.u, s.v, s.V)), grid, out=ws.modes)
+        inv, q1p = _invariants_q1_uv(s, orbit_m, grid)
+        # weight the u rows into the orbit rows; `_distances` overwrites `spread`
+        np.copyto(spread, weight)
+        np.multiply(spread, orbit_m, out=orbit_m)
         dist, y_star, th = _distances(refs, refs_conj, n_members, grid, ws)
+        y_star = y_star[:n_members]
         row = dict(times=np.full(n_members, s.t), E=inv.E, Q1=inv.Q1, Q2=inv.Q2,
                    B=inv.E - c * inv.Q1 - omega * inv.Q2, rho_nu=dist[:n_members],
-                   y_star=y_star[:n_members], theta_star=th[:n_members],
+                   y_star=y_star, theta_star=_orbit_phase(th[:n_members], y_star, c, s.t, grid.L),
                    dist_v=dist[n_members:2 * n_members], dist_V=dist[2 * n_members:],
                    q1_uv_real=q1p.real, q1_uv_imag=q1p.imag)
         rows.append(np.stack([row[name] for name in _SERIES]))
@@ -836,7 +840,9 @@ def solitary_experiment(omega: float, c: float, box_factor: float = 80.0,
     eta1 sech(box_factor / 4), 4.9e-9 at 80, and the carrier e^{icx/2}
     also jumps there unless c L / (4 pi) is an integer.  So the sampled u
     is not a periodic solution, and even the unperturbed run leaves its
-    orbit slowly: rho_nu reads about 6e-8 by t = 0.2 at N = 1024.
+    orbit slowly: rho_nu reads about 7e-8 by t = 0.2 at N = 1024.  rho_nu
+    reads u's own modes (see `orbital_distance`), so the carrier's jump
+    is not put into the measured perturbation.
     """
     if not box_factor >= 80.0:
         raise DomainError("box_factor must be >= 80 so the wrapped tails of psi and varphi "

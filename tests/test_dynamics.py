@@ -790,11 +790,11 @@ def _grid_and_vertex_shifts(corr, grid):
 def _orbit_at_grid_and_vertex(u, wave, grid):
     """The smaller direct weighted-mode distance of the (N,) field u to the
     wave's orbit at theta*(y), over the best grid shift and the vertex, and
-    the norm of the weighted profile modes."""
-    xi = dynamics._wrapped(grid)
-    weight = np.sqrt(grid.k ** 2 + wave.params.nu)
-    ref_m = weight * dynamics._modes(wave.phi(xi), grid)
-    m = weight * dynamics._modes(np.exp(-0.5j * wave.params.c * xi) * u, grid)
+    the norm of the weighted modes of the wave's t = 0 sample."""
+    p = wave.params
+    weight = np.sqrt((grid.k - 0.5 * p.c) ** 2 + p.nu)
+    ref_m = weight * dynamics._modes(wave_state(wave, grid).u, grid)
+    m = weight * dynamics._modes(u, grid)
     g = m * np.conj(ref_m)
     at = []
     for y in _grid_and_vertex_shifts(np.abs(np.fft.ifft(g)), grid):
@@ -935,12 +935,73 @@ def test_solitary_box_wraps_psi_below_1e14_but_not_phi():
 
 def test_exact_waves_start_on_their_orbit(solitary_run_exact, exact_run, wave_c0):
     # both derivatives of rho_nu's sqrt(k^2 + nu)-weighted modes are
-    # spectral, so an exact wave reads rounding at t = 0 (3.0e-14 on the
-    # N = 1024 solitary box, 7.3e-15 on the standard wave at N = 256)
+    # spectral, so an exact wave reads rounding at t = 0 (2.3e-14 on the
+    # N = 1024 solitary box, 5.1e-15 on the standard wave at N = 256)
     assert solitary_run_exact.rho_nu[0] <= 1e-12
     assert exact_run.rho_nu[0] <= 1e-12
     grid = GridSpec(L=2.0 * math.pi, N=128)
     assert orbital_distance(wave_state(wave_c0, grid).u, wave_c0, grid)[0] <= 1e-12
+
+
+@pytest.mark.parametrize("c", [SOL_C, 0.0])
+def test_solitary_orbital_distance_does_not_grow_with_N(c):
+    # one perturbation, modes |n| <= 16 of L2 size 1e-3, on the solitary box
+    # at every N.  At c = 0.5 the carrier e^{icx/2} is not periodic on the
+    # box (cL/(4 pi) = 1.64), so dividing it out of u jumps every
+    # perturbation at the wrap; measured that way rho_nu grew from 2.1e-3
+    # at N = 256 to 5.3e-3 at 4096.  Read on u's own modes it agrees to
+    # 1.3e-11 here; the c = 0 box has no carrier and agrees to 4e-13
+    sw = solitary_wave(SOL_OMEGA, c)
+    L = 80.0 / math.sqrt(-4.0 * SOL_OMEGA - c * c)
+    rhos = []
+    for N in (256, 512, 1024, 2048, 4096):
+        grid = GridSpec(L=L, N=N)
+        pert = band_limited_perturbation(np.random.default_rng(5), grid, 16, complex_field=True)
+        pert *= 1e-3 / math.sqrt(grid.integrate(np.abs(pert) ** 2))
+        rhos.append(orbital_distance(wave_state(sw, grid).u + pert, sw, grid)[0])
+    assert max(rhos) / min(rhos) - 1.0 <= 1e-9, rhos
+
+
+# the largest measured gap between a returned rho_nu and the gauged
+# objective below at the returned (y*, theta*), in units of (rho_nu + the
+# weighted profile's norm), over 5,760 rows drawn as in the test that
+# follows (its waves, N, bands, sizes and times, six seeds, 10 members per
+# case)
+_GAUGED_OBJECTIVE_GAP = 5.2e-15
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_orbital_distance_is_the_gauged_distance_on_carrier_periodic_waves(
+        wave_std, wave_c0, N):
+    # where c L / (4 pi) is an integer, c/2 is a whole wavenumber, so the
+    # weight sqrt((k - c/2)^2 + nu) on u's modes is sqrt(k^2 + nu) on those
+    # of the gauged field e^{-ic xi/2} u, xi = x - c t wrapped to [-L/2,
+    # L/2), and theta* is the phase of the profile phi in that field.  So
+    # the gauged objective, evaluated directly at the returned (y*, theta*),
+    # must read the returned rho_nu.  N = 64 is left out: there the nu = 3
+    # wave reaches the Nyquist mode, whose one sample the two weights read
+    # as +k and -k (rho_nu moved up to 9e-6 relative at t = 0, 0.11 at t = 0.7)
+    nu3 = build_wave(STD_L, wave_std.params.c, 3.0)
+    rng = np.random.default_rng(N)
+    for wave in (wave_std, wave_c0, nu3):
+        p = wave.params
+        grid = GridSpec(L=p.L, N=N)
+        weight = np.sqrt(grid.k ** 2 + p.nu)
+        ref_m = weight * dynamics._modes(wave.phi(dynamics._wrapped(grid)), grid)
+        for t in (0.0, 0.7):
+            u0 = wave_state(wave, grid, t).u
+            for band, size in itertools.product((N // 8, N // 3), (1e-6, 1e-4, 1e-2, 1.0)):
+                pert = np.stack([band_limited_perturbation(rng, grid, band, complex_field=True)
+                                 for _ in range(4)])
+                u = u0 + size * np.linalg.norm(u0) / np.linalg.norm(pert, axis=-1,
+                                                                    keepdims=True) * pert
+                rho, y, th = orbital_distance(u, wave, grid, t=t)
+                m = weight * dynamics._modes(
+                    np.exp(-0.5j * p.c * dynamics._wrapped(grid, p.c * t)) * u, grid)
+                gauged = np.linalg.norm(np.exp(1j * (th[:, None] + grid.k * y[:, None])) * m
+                                        - ref_m, axis=-1)
+                bound = 10 * _GAUGED_OBJECTIVE_GAP * (rho + np.linalg.norm(ref_m))
+                assert np.all(np.abs(gauged - rho) <= bound), (p, t, band, size)
 
 
 def test_solitary_rejects_small_box():

@@ -1,4 +1,4 @@
-"""Elliptic-function layer against independent quadrature and ODE oracles."""
+"""Elliptic-function layer against independent special-function and ODE oracles."""
 
 import dataclasses
 import math
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.special import ellipe, ellipk
 
 from zakwave import elliptic
 from zakwave.elliptic import (
@@ -24,16 +25,18 @@ from zakwave.errors import DomainError
 # --------------------------------------------------------------------------
 # oracles
 
-def K_quadrature(k: float) -> float:
-    val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                  0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-14)
-    return val
+# K and E from scipy's Cephes ellipk and ellipe, which take the parameter
+# m = k^2 and evaluate by polynomial approximation, independently of the
+# AGM; they agree with it to 1.3e-15 at the moduli below.  (Adaptive
+# quadrature at epsabs = epsrel = 1e-14 asks for more than double
+# precision holds and warns of roundoff at every one of them.)
+
+def K_oracle(k: float) -> float:
+    return float(ellipk(k * k))
 
 
-def E_quadrature(k: float) -> float:
-    val, _ = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                  0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-14)
-    return val
+def E_oracle(k: float) -> float:
+    return float(ellipe(k * k))
 
 
 def sncndn_ode(u: float, k: float):
@@ -61,12 +64,12 @@ def test_E_endpoints():
 
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.8, 0.95, 0.999])
 def test_K_matches_quadrature(k):
-    assert complete_K(Modulus.from_k(k)) == pytest.approx(K_quadrature(k), rel=1e-12)
+    assert complete_K(Modulus.from_k(k)) == pytest.approx(K_oracle(k), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.8, 0.95, 0.999])
 def test_E_matches_quadrature(k):
-    assert complete_E(Modulus.from_k(k)) == pytest.approx(E_quadrature(k), rel=1e-12)
+    assert complete_E(Modulus.from_k(k)) == pytest.approx(E_oracle(k), rel=1e-12)
 
 
 def test_K_monotone_increasing():

@@ -83,7 +83,7 @@ def test_a_save_allocates_a_bounded_multiple_of_its_fields(wave_std, monkeypatch
                                                           kind, N, n_members):
     # the rows, modes, search and distance arrays live in the run's
     # workspace, so after the first save a save's peak is its transients,
-    # 3.1 to 3.7 fields' worth at these shapes
+    # about 3.1 fields' worth at these shapes
     if kind == "solitary":
         wave = solitary_wave(SOL_OMEGA, SOL_C)
         grid = GridSpec(L=80.0 / math.sqrt(-4.0 * SOL_OMEGA - SOL_C**2), N=N)

@@ -89,7 +89,7 @@ def test_perturbation_scaling_matches_serial_scalar_runs(tmp_path, monkeypatch):
 # SHA-256 of the CSV of `perturbation_scaling.py --t-end 0.2 --N 128
 # --seed 3`: five deltas stepped as one (3, 5, 128) batch, 125 steps
 PERTURBATION_SCALING_SHA256 = \
-    "ef523dd4538b6578026f49e9a904423621b0e3f351090cb62bb9268886e8961f"
+    "e870773cb788a220af4d5c98fb16d97ca77cfc9356f38c4ce46d02ae91ada388"
 
 
 def test_perturbation_scaling_batched_csv_is_pinned(tmp_path, monkeypatch):

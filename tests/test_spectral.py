@@ -573,10 +573,14 @@ MODULI = [1e-5, 0.3, 0.5, 0.8, 1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12]
 def test_instability_intervals_edges_match_analytic(k):
     m = Modulus.from_k(k)
     intervals = instability_intervals(m)
-    # (-inf, lambda0), (mu0, mu1), (lambda1, lambda2): rho0, rho1, rho2
-    edges = (intervals[0][1], intervals[2][0], intervals[2][1])
-    for got, exact in zip(edges, lame_eigen_analytic(m)):
-        assert abs(got - exact) <= LAME_EDGE_TOL
+    # (-inf, lambda0), (mu0, mu1), (lambda1, lambda2): rho0, the
+    # semiperiodic edges 1 + k^2 (cn dn) and 1 + 4k^2 (sn dn), rho1, rho2;
+    # the first finite gap matched to 2.3e-12 at these moduli
+    rho0, rho1, rho2 = lame_eigen_analytic(m)
+    edges = (intervals[0][1], *intervals[1], *intervals[2])
+    exact = (rho0, 1.0 + m.k**2, 1.0 + 4.0 * m.k**2, rho1, rho2)
+    for got, want in zip(edges, exact, strict=True):
+        assert abs(got - want) <= LAME_EDGE_TOL
 
 
 @pytest.mark.parametrize("k", [k for k in MODULI if k >= 0.3])

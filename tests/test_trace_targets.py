@@ -2,7 +2,7 @@
 fail when one of those names is deleted or renamed, when a step stops
 doing the 16 transforms the benchmark's self-test expects, when the
 modulated-distance search transforms shifted fields again, when a save
-makes more than its five transforms or transforms the fixed reference
+makes more than its three transforms or transforms the fixed reference
 fields again, when a batch saves member by member, when the solitary
 run's profiles stop going through the traced Jacobi evaluators, or when a
 Hill solve assembles more than the matrices it solves whole."""
@@ -118,15 +118,14 @@ def _save_transforms(s0s, wave, grid):
 
 def test_traced_evolve_transforms_reference_fields_once(wave_std, grid_std):
     # a save transforms only the saved fields: one stacked ifft in
-    # to_physical, one fft of u for E, Q1, Q2 and q1_uv, one of the gauged
-    # u, one of the stacked v and V, and one correlation ifft in the one
+    # to_physical, one fft of u, v and V stacked, whose u rows serve E, Q1,
+    # Q2, q1_uv and the orbit rows, and one correlation ifft in the one
     # shift search.  The reference fields are transformed once per run:
-    # functional_B's u, the profile phi, and psi and varphi stacked; so
-    # neither the transforms per save nor the profile samplings grow with
-    # the saves
+    # functional_B's u, and u, psi and varphi stacked; so neither the
+    # transforms per save nor the profile samplings grow with the saves
     per_save, per_run, profiles = _save_transforms(
         [wave_state(wave_std, grid_std)], wave_std, grid_std)
-    assert (per_save, per_run) == (5, 3)
+    assert (per_save, per_run) == (3, 2)
     assert profiles[0] == profiles[1]
 
 
@@ -136,7 +135,7 @@ def test_traced_batch_saves_once_per_save_point(wave_std, grid_std):
     s0 = wave_state(wave_std, grid_std)
     for n_members in (1, 5):
         per_save, per_run, _ = _save_transforms([s0] * n_members, wave_std, grid_std)
-        assert (per_save, per_run) == (5, 3), n_members
+        assert (per_save, per_run) == (3, 2), n_members
 
 
 def _spans(tr, first, name):
